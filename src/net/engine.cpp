@@ -237,7 +237,7 @@ void Engine::commit(NodeId from, NodeId to, const Word& word, std::size_t slot,
   stats_.max_edge_words = std::max(stats_.max_edge_words, edge_words);
   if (!cut_side_.empty() && cut_side_[from] != cut_side_[to]) ++stats_.cut_words;
   if (trace_ != nullptr) {
-    trace_->record(TraceEvent{current_pass_, from, to, word.tag, word.quantum});
+    trace_->record(TraceEvent{current_pass_, from, to, word.tag, word.quantum}, slot);
   }
   ++stats_.messages;
   if (word.quantum) {
@@ -375,6 +375,7 @@ RunResult Engine::run_direct(std::span<const std::unique_ptr<NodeProgram>> progr
     amnesia_dead_.assign(n, 0);
     amnesia_cursor_.assign(n, 0);
   }
+  wake_.assign(n, 0);
   // Checkpoints never outlive their run: each framework phase (= one engine
   // run) recovers within itself.
   if (recovery_.enabled) checkpoint_store_.reset(n);
@@ -450,6 +451,7 @@ RunResult Engine::run_direct(std::span<const std::unique_ptr<NodeProgram>> progr
           // The node is restarting this round. If any amnesia window ended
           // inside the outage it just left (adjacent windows merge into one
           // observed outage), its volatile state is gone now.
+          wake_[v] = 1;
           auto& cursor = amnesia_cursor_[v];
           const auto& wipes = amnesia_restarts_[v];
           bool wiped = false;
@@ -558,16 +560,22 @@ void Engine::write_checkpoints(std::span<const std::unique_ptr<NodeProgram>> pro
 
 void Engine::run_pass_serial(std::span<const std::unique_ptr<NodeProgram>> programs,
                              std::size_t round, bool crash_active) {
+  // Reliable runs schedule only the wake set after pass 0 (DESIGN.md §9):
+  // a link adapter with an empty inbox that did not call keep_alive in its
+  // last turn, and is not restarting, would do nothing at all this turn.
+  const bool gated = transport_ == Transport::kReliable && round > 0;
   for (NodeId v : active_) {
     // Words addressed to a crashed node were already dropped at delivery
     // time; the node simply is not scheduled.
     if (crash_active && crashed_now_[v] != 0) continue;
+    if (gated && inbox_len_[v] == 0 && wake_[v] == 0) continue;
     Context& ctx = contexts_[v];
     ctx.round_ = round;
     ctx.keep_alive_ = false;
     current_sender_ = v;
     programs[v]->on_round(ctx, inbox_span(v));
     if (ctx.keep_alive_) keep_alive_pending_ = true;
+    wake_[v] = ctx.keep_alive_ ? 1 : 0;
   }
 }
 

@@ -299,7 +299,9 @@ class Engine {
   void track_cut(std::vector<bool> side);
 
   /// Record every delivery of subsequent runs into `trace` (nullptr stops).
-  /// The trace is never cleared by the engine; phases accumulate.
+  /// The trace is never cleared by the engine; phases accumulate. Each
+  /// record carries the directed-edge slot, which keeps the trace's edge
+  /// tally a flat array.
   void set_trace(class Trace* trace) { trace_ = trace; }
 
   /// Install a deterministic fault schedule consulted on every delivery of
@@ -551,6 +553,10 @@ class Engine {
   std::vector<unsigned char> crashed_now_;      // node crashed this round
   std::vector<unsigned char> crashed_arrival_;  // node crashed next round
   std::vector<unsigned char> was_crashed_;
+  /// Per node: called keep_alive in its last scheduled turn, or restarts
+  /// from a crash window this pass. With the inbox, the wake set a reliable
+  /// run_pass_serial schedules from.
+  std::vector<unsigned char> wake_;
   std::vector<std::size_t> sent_this_round_;  // indexed by directed edge slot
   std::vector<std::size_t> edge_slot_offset_;
   std::vector<bool> cut_side_;  // empty when no cut is tracked

@@ -5,7 +5,6 @@
 #include <limits>
 #include <map>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 namespace qcongest::net {
@@ -157,10 +156,11 @@ class ReliableProgram final : public NodeProgram {
     if (recovery_failed_) return;
     const std::size_t now = ctx.round();
 
+    const Graph& graph = engine_->graph();
     for (const Message& m : inbox) {
-      auto it = peer_index_.find(m.from);
-      if (it == peer_index_.end()) continue;  // cannot happen: engine checks edges
-      handle_chunk(it->second, m.word);
+      // The engine admitted the word over edge (from, id_), so the index
+      // exists.
+      handle_chunk(graph.neighbor_index(id_, m.from), m.word);
     }
     for (std::size_t ni = 0; ni < adj_.size(); ++ni) drain_ready(ni);
     if (recovering_ && !recovery_failed_) try_finish_recovery();
@@ -302,11 +302,10 @@ class ReliableProgram final : public NodeProgram {
   // --- called by ReliableContext -----------------------------------------
 
   void inner_send(NodeId to, Word word) {
-    auto it = peer_index_.find(to);
-    if (it == peer_index_.end()) {
+    const std::size_t ni = engine_->graph().neighbor_index(id_, to);
+    if (ni == kUnreachable) {
       throw std::invalid_argument("Engine: send to non-neighbor");
     }
-    std::size_t ni = it->second;
     if (++sent_this_vround_[ni] > engine_->bandwidth()) {
       throw std::runtime_error(
           "CONGEST bandwidth exceeded: a node sent more than B words over one "
@@ -408,7 +407,6 @@ class ReliableProgram final : public NodeProgram {
   void initialize(Context& ctx) {
     id_ = ctx.id();
     adj_ = ctx.neighbors();
-    for (std::size_t ni = 0; ni < adj_.size(); ++ni) peer_index_[adj_[ni]] = ni;
     out_.resize(adj_.size());
     in_.resize(adj_.size());
     rec_.resize(adj_.size());
@@ -917,7 +915,6 @@ class ReliableProgram final : public NodeProgram {
   bool initialized_ = false;
   NodeId id_ = 0;
   std::vector<NodeId> adj_;
-  std::unordered_map<NodeId, std::size_t> peer_index_;
   std::vector<OutLink> out_;
   std::vector<InLink> in_;
 

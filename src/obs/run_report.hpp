@@ -123,7 +123,8 @@ class RunReport {
 /// the tools that embed bare results).
 void write_run_result_json(JsonWriter& writer, const net::RunResult& result);
 
-/// Build a TraceSummary from a live trace.
+/// Build a TraceSummary from a live trace's tallies (O(distinct edges); the
+/// trace need not keep its events).
 TraceSummary summarize_trace(const net::Trace& trace, std::size_t top_edges = 8);
 
 }  // namespace qcongest::obs

@@ -298,7 +298,7 @@ std::string run_job_report(const JobSpec& spec,
 
     recover::Watchdog watchdog(recover::WatchdogConfig{
         /*stall_rounds=*/1024, /*deadline_rounds=*/deadline});
-    net::Trace trace;
+    net::Trace trace;  // tallies only: the report reads the digest
     obs::RoundProfiler profiler;
 
     apps::NetOptions options;

@@ -98,7 +98,7 @@ WorkloadRun run_workload(const net::Graph& g, std::size_t threads,
   net::Engine engine(g, /*bandwidth=*/1, /*seed=*/42);
   engine.set_threads(threads);
   if (plan != nullptr) engine.set_fault_plan(*plan);
-  net::Trace trace;
+  net::Trace trace(/*keep_events=*/true);
   engine.set_trace(&trace);
 
   WorkloadRun out;
@@ -181,7 +181,7 @@ TEST(ParallelEngine, ReliableTransportStaysSerial) {
     engine.set_transport(net::Transport::kReliable);
     engine.set_threads(threads);
     EXPECT_EQ(engine.threads(), threads);
-    net::Trace trace;
+    net::Trace trace(/*keep_events=*/true);
     engine.set_trace(&trace);
     net::BfsTree tree = net::build_bfs_tree(engine, 0);
     return render(trace) + " rounds=" + std::to_string(tree.cost.rounds);

@@ -12,6 +12,7 @@
 #include "src/net/engine.hpp"
 #include "src/net/fault.hpp"
 #include "src/net/generators.hpp"
+#include "src/net/trace.hpp"
 #include "src/recover/checkpoint.hpp"
 #include "src/recover/watchdog.hpp"
 
@@ -440,6 +441,70 @@ TEST(RecoveryReliable, NeighborAssistedReplayPaysANonzeroWordTax) {
   EXPECT_EQ(clean.result.recovery_words, 0u);
   EXPECT_GT(recovered.result.recovery_rounds, 0u);
   EXPECT_GT(recovered.result.recovery_words, 0u);
+}
+
+constexpr std::size_t kIdleRingNodes = 4;
+constexpr std::size_t kIdleRingRounds = 3;
+
+TEST(RecoveryReliable, IdleVictimRestartsIntoRecovery) {
+  // The whole ring finishes its three rounds long before node 0's amnesia
+  // window [20, 25): on the restart round its inbox is empty, nothing is in
+  // flight, and no node is kept alive. The reliable pass must still run the
+  // victim on its first round back (the restart wake), or its state-transfer
+  // request never leaves and it ends on the stale phase-start checkpoint.
+  constexpr std::size_t kCrash = 20;
+  constexpr std::size_t kRestart = 25;
+  auto run = [&](bool with_fault, net::Trace* trace) {
+    Graph g = net::cycle_graph(kIdleRingNodes);
+    Engine engine(g, 1, 29);
+    engine.set_transport(net::Transport::kReliable);
+    engine.set_trace(trace);
+    if (with_fault) {
+      FaultPlan plan;
+      plan.crashes.push_back(CrashEvent{0, kCrash, kRestart});
+      plan.crashes[0].amnesia = true;
+      engine.set_fault_plan(plan);
+      RecoveryPolicy recovery;
+      recovery.enabled = true;  // at_phase_start only: full replay on wipe
+      engine.set_recovery(recovery);
+      engine.set_program_factory(
+          [](NodeId) { return std::make_unique<RingCounter>(kIdleRingRounds); });
+    }
+    std::vector<std::unique_ptr<NodeProgram>> programs;
+    for (std::size_t v = 0; v < kIdleRingNodes; ++v) {
+      programs.push_back(std::make_unique<RingCounter>(kIdleRingRounds));
+    }
+    RingRun out;
+    out.result = engine.run(programs, kIdleRingRounds + 8);
+    for (std::size_t v = 0; v < kIdleRingNodes; ++v) {
+      out.sums.push_back(static_cast<RingCounter&>(*programs[v]).sum());
+    }
+    return out;
+  };
+
+  RingRun clean = run(false, nullptr);
+  net::Trace trace(/*keep_events=*/true);
+  RingRun recovered = run(true, &trace);
+  ASSERT_TRUE(recovered.result.completed);
+  // The network is silent from before the crash until the restart round.
+  for (const net::TraceEvent& e : trace.events()) {
+    EXPECT_FALSE(e.round + 1 >= kCrash && e.round < kRestart) << "round " << e.round;
+  }
+  EXPECT_EQ(clean.sums, recovered.sums);
+  EXPECT_EQ(recovered.result.crashed_nodes, 1u);
+  EXPECT_GT(recovered.result.recovery_rounds, 0u);
+  EXPECT_GT(recovered.result.recovery_words, 0u);
+  // Byte-for-byte the counters of the engine that ran every node on every
+  // physical round.
+  RunResult expected;
+  expected.rounds = 37;
+  expected.messages = 186;
+  expected.classical_words = 186;
+  expected.max_edge_words = 1;
+  expected.crashed_nodes = 1;
+  expected.recovery_words = 20;
+  expected.recovery_rounds = 12;
+  EXPECT_EQ(recovered.result, expected);
 }
 
 }  // namespace

@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <vector>
 
 #include "src/net/bfs.hpp"
 #include "src/net/generators.hpp"
 #include "src/net/pipeline.hpp"
 #include "src/net/trace.hpp"
+#include "src/util/rng.hpp"
 
 namespace qcongest::net {
 namespace {
@@ -13,7 +16,7 @@ namespace {
 TEST(Trace, RecordsEveryDelivery) {
   Graph g = path_graph(5);
   Engine engine(g);
-  Trace trace;
+  Trace trace(/*keep_events=*/true);
   engine.set_trace(&trace);
   BfsTree tree = build_bfs_tree(engine, 0);
   EXPECT_EQ(trace.size(), tree.cost.messages);
@@ -161,6 +164,130 @@ TEST(Trace, EdgeTotalsMergeBothDirections) {
   ASSERT_EQ(totals.size(), 2u);
   EXPECT_EQ((totals.at({0, 1})), 3u);
   EXPECT_EQ((totals.at({1, 2})), 1u);
+}
+
+// --- Tallied digest vs a brute-force reference --------------------------
+//
+// The reference is the digest computed from the full event log with
+// ordered maps, the way Trace computed it before it tallied on record.
+
+using EdgeCount = std::pair<std::pair<NodeId, NodeId>, std::size_t>;
+
+std::vector<std::size_t> reference_per_round(const std::vector<TraceEvent>& events) {
+  std::size_t max_round = 0;
+  for (const TraceEvent& e : events) max_round = std::max(max_round, e.round);
+  std::vector<std::size_t> counts(events.empty() ? 0 : max_round + 1, 0);
+  for (const TraceEvent& e : events) ++counts[e.round];
+  return counts;
+}
+
+std::vector<EdgeCount> reference_busiest(const std::vector<TraceEvent>& events,
+                                         std::size_t top) {
+  std::map<std::pair<NodeId, NodeId>, std::size_t> counts;
+  for (const TraceEvent& e : events) ++counts[{e.from, e.to}];
+  std::vector<EdgeCount> sorted(counts.begin(), counts.end());
+  std::sort(sorted.begin(), sorted.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+  if (sorted.size() > top) sorted.resize(top);
+  return sorted;
+}
+
+std::map<std::int32_t, std::size_t> reference_per_tag(const std::vector<TraceEvent>& events) {
+  std::map<std::int32_t, std::size_t> counts;
+  for (const TraceEvent& e : events) ++counts[e.tag];
+  return counts;
+}
+
+std::map<std::pair<NodeId, NodeId>, std::size_t> reference_edge_totals(
+    const std::vector<TraceEvent>& events) {
+  std::map<std::pair<NodeId, NodeId>, std::size_t> totals;
+  for (const TraceEvent& e : events) {
+    ++totals[{std::min(e.from, e.to), std::max(e.from, e.to)}];
+  }
+  return totals;
+}
+
+/// Compare every digest accessor with the reference over trace.events().
+void expect_digest_matches_reference(const Trace& trace) {
+  const std::vector<TraceEvent>& events = trace.events();
+  EXPECT_EQ(trace.size(), events.size());
+  EXPECT_EQ(trace.per_round_counts(), reference_per_round(events));
+  EXPECT_EQ(trace.per_tag_counts(), reference_per_tag(events));
+  EXPECT_EQ(trace.edge_totals(), reference_edge_totals(events));
+  const std::size_t distinct = reference_busiest(events, events.size()).size();
+  for (std::size_t top : {std::size_t{0}, std::size_t{1}, std::size_t{3}, distinct,
+                          distinct + 5}) {
+    EXPECT_EQ(trace.busiest_edges(top), reference_busiest(events, top)) << "top " << top;
+  }
+}
+
+TEST(TraceDigest, RandomStreamsMatchReference) {
+  // Few endpoints, so many edges tie on count and the (count desc, edge asc)
+  // order is exercised. Two slot numberings stand in for engines on two
+  // different graphs sharing the trace: the same slot names different edges.
+  // Some events use the slot-less form, and some tags fall outside the
+  // small-tag array.
+  const std::int32_t tags[] = {1, 2, 41, -1, -101, -109, 127, -128, 128, -129, 5000};
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    util::Rng rng(seed);
+    Trace trace(/*keep_events=*/true);
+    const std::size_t nodes = 2 + rng.index(5);
+    const std::size_t rounds = 1 + rng.index(12);
+    const std::size_t count = rng.index(200);
+    for (std::size_t i = 0; i < count; ++i) {
+      TraceEvent e;
+      e.round = rng.index(rounds);
+      e.from = rng.index(nodes);
+      e.to = rng.index(nodes);
+      e.tag = tags[rng.index(std::size(tags))];
+      e.quantum = rng.bernoulli(0.5);
+      switch (rng.index(3)) {
+        case 0:
+          trace.record(e);
+          break;
+        case 1:
+          trace.record(e, e.from * nodes + e.to);  // graph A's numbering
+          break;
+        default:
+          trace.record(e, e.to * nodes + e.from);  // graph B's numbering
+          break;
+      }
+    }
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_digest_matches_reference(trace);
+  }
+}
+
+TEST(TraceDigest, SharedByEnginesOnTwoGraphs) {
+  // One trace across two engines whose directed-edge slots number different
+  // edges, plus the slot-less poison marker chaos_run records after a throw.
+  Graph path = path_graph(6);
+  Graph star = star_graph(7);
+  Engine on_path(path);
+  Engine on_star(star);
+  Trace trace(/*keep_events=*/true);
+  on_path.set_trace(&trace);
+  on_star.set_trace(&trace);
+  BfsTree path_tree = build_bfs_tree(on_path, 0);
+  BfsTree star_tree = build_bfs_tree(on_star, 3);
+  trace.record(TraceEvent{0, 0, 0, -1, false});
+  (void)pipelined_downcast(on_path, path_tree, {1, 2, 3}, false);
+  (void)pipelined_downcast(on_star, star_tree, {4, 5}, true);
+  expect_digest_matches_reference(trace);
+  // Cleared, the trace is empty again.
+  trace.clear();
+  EXPECT_EQ(trace.size(), 0u);
+  EXPECT_TRUE(trace.per_tag_counts().empty());
+  expect_digest_matches_reference(trace);
+}
+
+TEST(TraceDigest, EventsRequireKeepEvents) {
+  Trace trace;
+  trace.record(TraceEvent{0, 0, 1, 1, false});
+  EXPECT_EQ(trace.size(), 1u);
+  EXPECT_THROW((void)trace.events(), std::logic_error);
 }
 
 }  // namespace

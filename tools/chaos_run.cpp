@@ -297,7 +297,7 @@ int run_determinism_audit(const net::Graph& graph, const Options& opt,
         // The second run uses the sharded engine; transcripts must still be
         // byte-identical to the serial first run.
         options.threads = repeat == 0 ? 1 : opt.threads;
-        net::Trace trace;
+        net::Trace trace(/*keep_events=*/true);
         options.trace = &trace;
         Outcome out;
         try {
