@@ -54,12 +54,7 @@ void Verifier::attach(net::Engine& engine) {
   bind_graph(engine.graph());
   bandwidth_ = engine.bandwidth();
   run_active_ = false;
-  engine.set_observer(this);
-}
-
-void Verifier::detach() {
-  graph_ = nullptr;
-  run_active_ = false;
+  engine.add_observer(this);
 }
 
 std::size_t Verifier::slot(net::NodeId from, net::NodeId to) const {
@@ -73,7 +68,7 @@ std::size_t Verifier::slot(net::NodeId from, net::NodeId to) const {
 }
 
 void Verifier::on_run_begin(const net::Engine& engine) {
-  // Self-initializing: a verifier handed to an engine through set_observer
+  // Self-initializing: a verifier handed to an engine through add_observer
   // alone (e.g. via apps::NetOptions::observer, where the engine is built
   // deep inside an application) binds to the graph on the first run — and
   // re-binds when a new engine on a different graph picks it up.
@@ -89,8 +84,11 @@ void Verifier::on_run_begin(const net::Engine& engine) {
 }
 
 void Verifier::on_send(std::size_t round, net::NodeId from, net::NodeId to,
-                       const net::Word& word, std::size_t edge_words) {
-  (void)word;
+                       const net::Word& word, std::size_t edge_words,
+                       std::size_t engine_slot) {
+  // The engine's slot is ignored: the bandwidth check re-derives its own
+  // edge numbering so it stays independent of the engine's.
+  (void)word, (void)engine_slot;
   if (!run_active_) return;
   const std::size_t s = slot(from, to);
   ++edge_words_round_[s];

@@ -34,15 +34,15 @@ class Verifier final : public net::EngineObserver {
  public:
   Verifier() = default;
 
-  /// Start observing `engine` (replaces any previous attachment). The
+  /// Bind to `engine`'s graph and add the verifier to its observers. The
   /// verifier must outlive every run of the engine.
   void attach(net::Engine& engine);
-  void detach();
 
   // --- EngineObserver -----------------------------------------------------
   void on_run_begin(const net::Engine& engine) override;
   void on_send(std::size_t round, net::NodeId from, net::NodeId to,
-               const net::Word& word, std::size_t edge_words) override;
+               const net::Word& word, std::size_t edge_words,
+               std::size_t slot) override;
   void on_delivery(std::size_t round, net::NodeId from, net::NodeId to,
                    net::DeliveryFate fate, bool corrupted, bool duplicated) override;
   void on_retransmission(std::size_t round) override;

@@ -2,6 +2,8 @@
 
 #include <optional>
 
+#include "src/util/rng.hpp"
+
 namespace qcongest::framework {
 
 namespace {
@@ -11,13 +13,6 @@ namespace {
 /// itself, so a one-bit flip in transit can never *forge* an OK verdict —
 /// corruption can only cause a spurious retry, never a false pass.
 constexpr std::int64_t kOkVote = 0x2B;
-
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// A transient, fault-induced phase failure: lost or reordered words break
 /// the phase's schedule invariants, which surface as logic/runtime errors.
@@ -41,7 +36,7 @@ bool attempt(net::Engine& engine, net::RunResult& cost, const Fn& fn) {
 
 std::int64_t payload_checksum(const std::vector<std::int64_t>& payload) {
   std::uint64_t h = 0x0fa17c8ecc5a17ULL;
-  for (std::int64_t w : payload) h = mix64(h ^ static_cast<std::uint64_t>(w));
+  for (std::int64_t w : payload) h = util::mix64(h ^ static_cast<std::uint64_t>(w));
   return static_cast<std::int64_t>(h);
 }
 

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/net/reliable.hpp"
-#include "src/net/trace.hpp"
 #include "src/net/violation.hpp"
 
 namespace qcongest::net {
@@ -33,6 +32,14 @@ void Engine::track_cut(std::vector<bool> side) {
     throw std::invalid_argument("track_cut: one side bit per node required");
   }
   cut_side_ = std::move(side);
+}
+
+void Engine::add_observer(EngineObserver* observer) {
+  if (observer == nullptr ||
+      std::find(observers_.begin(), observers_.end(), observer) != observers_.end()) {
+    return;
+  }
+  observers_.push_back(observer);
 }
 
 void Engine::set_fault_plan(FaultPlan plan) {
@@ -199,7 +206,7 @@ void Engine::deliver(NodeId from, NodeId to, Word word) {
     // Shard path: admission (bandwidth enforcement) happens here in the
     // sender's shard — each directed edge's budget is touched only by its
     // own sender, so this is race-free — while everything observable
-    // (stats, trace, observer, fault lottery, inbox push) waits for the
+    // (stats, observers, fault lottery, inbox push) waits for the
     // canonical-order merge on the engine thread. Each shard buffer is
     // touched only by the one worker executing that shard.
     std::size_t slot = admit(from, to);
@@ -236,17 +243,14 @@ void Engine::commit(NodeId from, NodeId to, const Word& word, std::size_t slot,
                     std::size_t edge_words) {
   stats_.max_edge_words = std::max(stats_.max_edge_words, edge_words);
   if (!cut_side_.empty() && cut_side_[from] != cut_side_[to]) ++stats_.cut_words;
-  if (trace_ != nullptr) {
-    trace_->record(TraceEvent{current_pass_, from, to, word.tag, word.quantum}, slot);
-  }
   ++stats_.messages;
   if (word.quantum) {
     ++stats_.quantum_words;
   } else {
     ++stats_.classical_words;
   }
-  if (observer_ != nullptr) {
-    observer_->on_send(current_pass_, from, to, word, edge_words);
+  for (EngineObserver* o : observers_) {
+    o->on_send(current_pass_, from, to, word, edge_words, slot);
   }
 
   if (!fault_active_) {
@@ -255,9 +259,9 @@ void Engine::commit(NodeId from, NodeId to, const Word& word, std::size_t slot,
     }
     enqueue_delivery(to, Message{from, word});
     delivered_any_ = true;
-    if (observer_ != nullptr) {
-      observer_->on_delivery(current_pass_, from, to, DeliveryFate::kDelivered,
-                             /*corrupted=*/false, /*duplicated=*/false);
+    for (EngineObserver* o : observers_) {
+      o->on_delivery(current_pass_, from, to, DeliveryFate::kDelivered,
+                     /*corrupted=*/false, /*duplicated=*/false);
     }
     return;
   }
@@ -267,18 +271,18 @@ void Engine::commit(NodeId from, NodeId to, const Word& word, std::size_t slot,
   // kNever threshold draws nothing from the fault stream).
   if (crashed_arrival_[to] != 0) {
     ++stats_.dropped_words;
-    if (observer_ != nullptr) {
-      observer_->on_delivery(current_pass_, from, to, DeliveryFate::kDroppedCrashed,
-                             false, false);
+    for (EngineObserver* o : observers_) {
+      o->on_delivery(current_pass_, from, to, DeliveryFate::kDroppedCrashed,
+                     false, false);
     }
     return;
   }
   const EdgeThresholds& th = edge_thresholds_[slot];
   if (fault_lottery_.draw(slot, th.drop)) {
     ++stats_.dropped_words;
-    if (observer_ != nullptr) {
-      observer_->on_delivery(current_pass_, from, to, DeliveryFate::kDroppedLottery,
-                             false, false);
+    for (EngineObserver* o : observers_) {
+      o->on_delivery(current_pass_, from, to, DeliveryFate::kDroppedLottery,
+                     false, false);
     }
     return;
   }
@@ -302,9 +306,9 @@ void Engine::commit(NodeId from, NodeId to, const Word& word, std::size_t slot,
     ++stats_.duplicated_words;
     duplicated = true;
   }
-  if (observer_ != nullptr) {
-    observer_->on_delivery(current_pass_, from, to, DeliveryFate::kDelivered,
-                           corrupted, duplicated);
+  for (EngineObserver* o : observers_) {
+    o->on_delivery(current_pass_, from, to, DeliveryFate::kDelivered,
+                   corrupted, duplicated);
   }
 }
 
@@ -384,10 +388,9 @@ RunResult Engine::run_direct(std::span<const std::unique_ptr<NodeProgram>> progr
   parallel_pass_ = false;
   keep_alive_pending_ = false;
   // Frozen per run: nothing a program can reach through its Context mutates
-  // the observer, trace, cut, or fault plan mid-run.
-  fast_path_ = !fault_active_ && observer_ == nullptr && trace_ == nullptr &&
-               cut_side_.empty();
-  if (observer_ != nullptr) observer_->on_run_begin(*this);
+  // the observers, cut, or fault plan mid-run.
+  fast_path_ = !fault_active_ && observers_.empty() && cut_side_.empty();
+  for (EngineObserver* o : observers_) o->on_run_begin(*this);
   if (recovery_.enabled && recovery_.checkpoint.at_phase_start) {
     write_checkpoints(programs, /*rounds_done=*/0);
   }
@@ -437,7 +440,7 @@ RunResult Engine::run_direct(std::span<const std::unique_ptr<NodeProgram>> progr
         !keep_alive_pending_ && !(fault_active_ && restart_pending(round))) {
       stats_.rounds = last_send_pass;
       stats_.completed = true;
-      if (observer_ != nullptr) observer_->on_run_end(stats_);
+      for (EngineObserver* o : observers_) o->on_run_end(stats_);
       return stats_;
     }
 
@@ -487,11 +490,11 @@ RunResult Engine::run_direct(std::span<const std::unique_ptr<NodeProgram>> progr
       ++stats_.recovery_rounds;
       recovery_activity_ = false;
     }
-    if (observer_ != nullptr) observer_->on_round_end(round);
+    for (EngineObserver* o : observers_) o->on_round_end(round);
   }
   stats_.rounds = last_send_pass;
   stats_.completed = false;
-  if (observer_ != nullptr) observer_->on_run_end(stats_);
+  for (EngineObserver* o : observers_) o->on_run_end(stats_);
   return stats_;
 }
 
@@ -532,9 +535,9 @@ void Engine::handle_amnesia_restart(NodeProgram& program, NodeId v, std::size_t 
   amnesia_dead_[v] = 1;
   for (const Message& m : inbox_span(v)) {
     ++stats_.dropped_words;
-    if (observer_ != nullptr) {
-      observer_->on_delivery(round, m.from, v, DeliveryFate::kDroppedCrashed,
-                             /*corrupted=*/false, /*duplicated=*/false);
+    for (EngineObserver* o : observers_) {
+      o->on_delivery(round, m.from, v, DeliveryFate::kDroppedCrashed,
+                     /*corrupted=*/false, /*duplicated=*/false);
     }
   }
   inbox_len_[v] = 0;
@@ -672,7 +675,7 @@ void Engine::run_pass_parallel(std::span<const std::unique_ptr<NodeProgram>> pro
   }
 
   // Canonical-order merge: ascending (sender, send order) is exactly the
-  // serial engine's delivery order, so stats, trace, observer stream, and
+  // serial engine's delivery order, so stats, the observer stream, and
   // fault-lottery draws come out byte-identical for any thread count. On a
   // failure, nodes before the smallest offender plus the offender's
   // pre-failure sends are merged first — the same partial state the serial

@@ -31,17 +31,20 @@ enum class DeliveryFate {
   kDroppedCrashed,
 };
 
-/// Passive tap on the engine's scheduling and delivery decisions, the hook
-/// the model-conformance verifier (src/check/verifier.hpp) hangs off.
-/// Observers must not mutate the engine or send messages; they see every
-/// admitted word, its fate, every retransmission note, and round/run
-/// boundaries — enough to re-derive all of RunResult independently and
-/// cross-check the engine's own accounting.
+/// Passive tap on the engine's scheduling and delivery decisions — the one
+/// hook every tap hangs off: the message trace (src/net/trace.hpp), the
+/// round profiler (src/obs), the liveness watchdog (src/recover) and the
+/// model-conformance verifier (src/check/verifier.hpp). Observers must not
+/// mutate the engine or send messages; they see every admitted word, its
+/// fate, every retransmission note, and round/run boundaries — enough to
+/// re-derive all of RunResult independently and cross-check the engine's
+/// own accounting.
 ///
 /// Observer callbacks always fire on the engine's own thread in canonical
 /// delivery order — ascending (sender, send order) within a round — even
 /// when the round itself was executed by parallel shards (see
-/// Engine::set_threads), so an observer never needs locks.
+/// Engine::set_threads), so an observer never needs locks. Each callback
+/// reaches the engine's observers in the order they were added.
 class EngineObserver {
  public:
   virtual ~EngineObserver() = default;
@@ -51,9 +54,11 @@ class EngineObserver {
   /// A word passed bandwidth admission on (from, to) in `round`.
   /// `edge_words` is the per-round count on that directed edge after this
   /// send (so 1 <= edge_words <= bandwidth when the engine is honest).
+  /// `slot` is the engine's index of the directed edge (node v's i-th
+  /// neighbor edge is slot sum_{u<v} deg(u) + i).
   virtual void on_send(std::size_t round, NodeId from, NodeId to, const Word& word,
-                       std::size_t edge_words) {
-    (void)round, (void)from, (void)to, (void)word, (void)edge_words;
+                       std::size_t edge_words, std::size_t slot) {
+    (void)round, (void)from, (void)to, (void)word, (void)edge_words, (void)slot;
   }
   /// The fate of the word just admitted by on_send. `corrupted` /
   /// `duplicated` only apply to delivered words.
@@ -298,12 +303,6 @@ class Engine {
   /// arguments. Pass an empty vector to stop tracking.
   void track_cut(std::vector<bool> side);
 
-  /// Record every delivery of subsequent runs into `trace` (nullptr stops).
-  /// The trace is never cleared by the engine; phases accumulate. Each
-  /// record carries the directed-edge slot, which keeps the trace's edge
-  /// tally a flat array.
-  void set_trace(class Trace* trace) { trace_ = trace; }
-
   /// Install a deterministic fault schedule consulted on every delivery of
   /// every subsequent run. The plan is validated against the graph. An
   /// inactive plan (all-zero rates, no crashes) is equivalent to
@@ -347,7 +346,7 @@ class Engine {
   /// Called by the reliable transport each time it re-sends a frame.
   void note_retransmission() {
     ++stats_.retransmissions;
-    if (observer_ != nullptr) observer_->on_retransmission(current_pass_);
+    for (EngineObserver* o : observers_) o->on_retransmission(current_pass_);
   }
 
   // --- Crash-with-amnesia recovery (src/recover, DESIGN.md §11) ----------
@@ -385,12 +384,14 @@ class Engine {
   /// flag raised are tallied into RunResult::recovery_rounds at pass end.
   void note_recovery_activity() { recovery_activity_ = true; }
 
-  /// Attach a passive observer notified of every admitted send, delivery
-  /// fate, retransmission, and round/run boundary (nullptr detaches). The
-  /// observer must outlive every subsequent run. One observer per engine;
-  /// src/check/Verifier is the intended client.
-  void set_observer(EngineObserver* observer) { observer_ = observer; }
-  EngineObserver* observer() const { return observer_; }
+  /// Append a passive observer, notified of every admitted send, delivery
+  /// fate, retransmission, and round/run boundary of subsequent runs after
+  /// the observers added before it. Adding one already in the list (or
+  /// nullptr) does nothing. The observer must outlive every subsequent run
+  /// or be removed by clear_observers first.
+  void add_observer(EngineObserver* observer);
+  /// Remove every observer.
+  void clear_observers() { observers_.clear(); }
 
  private:
   friend class Context;
@@ -455,8 +456,8 @@ class Engine {
   /// the count including this word. Safe to call from the sender's shard —
   /// a directed edge's budget is only ever touched by its own sender.
   std::size_t admit(NodeId from, NodeId to);
-  /// Everything after admission: stats, cut tracking, trace, observer,
-  /// fault lottery, and the inbox push. Engine thread only.
+  /// Everything after admission: stats, cut tracking, observers, fault
+  /// lottery, and the inbox push. Engine thread only.
   void commit(NodeId from, NodeId to, const Word& word, std::size_t slot,
               std::size_t edge_words);
   void corrupt_payload(Word& word, std::uint64_t raw);
@@ -560,13 +561,14 @@ class Engine {
   std::vector<std::size_t> sent_this_round_;  // indexed by directed edge slot
   std::vector<std::size_t> edge_slot_offset_;
   std::vector<bool> cut_side_;  // empty when no cut is tracked
-  class Trace* trace_ = nullptr;
-  EngineObserver* observer_ = nullptr;
+  /// Taps in the order added. Changed only between runs, so the hot loop
+  /// never reallocates it.
+  std::vector<EngineObserver*> observers_;
   RunResult stats_;
   NodeId current_sender_ = 0;
   std::size_t current_pass_ = 0;
   bool parallel_pass_ = false;   // sends buffer to outboxes instead of committing
-  bool fast_path_ = false;       // no fault/observer/trace/cut this run
+  bool fast_path_ = false;       // no fault/observer/cut this run
   bool delivered_any_ = false;   // something was delivered for the next pass
   bool keep_alive_pending_ = false;
 };

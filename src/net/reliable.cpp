@@ -7,6 +7,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "src/util/rng.hpp"
+
 namespace qcongest::net {
 
 namespace {
@@ -33,16 +35,9 @@ constexpr std::uint64_t kChecksumMask = 0x3FFFFFFF;  // 30 bits
 /// Unreachable under the documented pruning margin; kept for honesty.
 constexpr std::uint32_t kRecUnavailable = 0xFFFFFFFFu;
 
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 std::uint32_t fold30(std::initializer_list<std::uint64_t> fields, std::uint64_t salt) {
   std::uint64_t h = salt;
-  for (std::uint64_t f : fields) h = mix64(h ^ f);
+  for (std::uint64_t f : fields) h = util::mix64(h ^ f);
   return static_cast<std::uint32_t>(h & kChecksumMask);
 }
 
@@ -834,17 +829,12 @@ class ReliableProgram final : public NodeProgram {
         if (fl.fully_sent && now >= fl.last_sent_round + fl.rto) {
           fl.fully_sent = false;
           fl.chunks_sent = 0;
-          std::size_t backoff = std::min(fl.rto * 2, params_.rto_cap);
-          std::size_t spread = backoff / 4;
-          if (spread > 1) {
-            std::uint64_t h = mix64(
-                mix64(params_.checksum_salt ^
-                      (static_cast<std::uint64_t>(id_) << 40) ^
-                      (static_cast<std::uint64_t>(peer) << 20) ^ seq) ^
-                fl.rto);
-            backoff -= static_cast<std::size_t>(h % spread);
-          }
-          fl.rto = backoff;
+          fl.rto = static_cast<std::size_t>(util::jittered_backoff(
+              fl.rto * 2, params_.rto_cap,
+              util::mix64(util::mix64(params_.checksum_salt ^
+                                      (static_cast<std::uint64_t>(id_) << 40) ^
+                                      (static_cast<std::uint64_t>(peer) << 20) ^ seq) ^
+                          fl.rto)));
           engine_->note_retransmission();
         }
         while (budget > 0 && !fl.fully_sent) {

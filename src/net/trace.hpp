@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "src/net/engine.hpp"
 #include "src/net/graph.hpp"
 
 namespace qcongest::net {
@@ -20,7 +21,9 @@ struct TraceEvent {
 };
 
 /// Message-level execution trace for observability and debugging. Attach to
-/// an Engine with Engine::set_trace; every send is recorded with its round.
+/// an Engine with Engine::add_observer; every admitted send is recorded with
+/// its round. One trace may observe several engines; phases accumulate until
+/// clear().
 ///
 /// The digest — total, per-round counts, per-directed-edge counts and
 /// per-tag counts — is tallied as events are recorded, at O(1) per event,
@@ -28,9 +31,16 @@ struct TraceEvent {
 /// themselves are kept only when the trace is built with keep_events; only
 /// callers that replay the delivery order (determinism transcripts) need
 /// them.
-class Trace {
+class Trace final : public EngineObserver {
  public:
   explicit Trace(bool keep_events = false) : keep_events_(keep_events) {}
+
+  /// Records the send over its engine slot (see record).
+  void on_send(std::size_t round, NodeId from, NodeId to, const Word& word,
+               std::size_t edge_words, std::size_t slot) override {
+    (void)edge_words;
+    record(TraceEvent{round, from, to, word.tag, word.quantum}, slot);
+  }
 
   void clear();
 

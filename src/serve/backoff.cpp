@@ -1,19 +1,8 @@
 #include "src/serve/backoff.hpp"
 
+#include "src/util/rng.hpp"
+
 namespace qcongest::serve {
-
-namespace {
-
-// splitmix64 finalizer — the same mixer the reliable transport's
-// retransmission jitter uses (src/net/reliable.cpp).
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 std::uint64_t backoff_delay_ms(const BackoffParams& params, std::uint64_t stream,
                                std::uint64_t attempt) {
@@ -24,14 +13,10 @@ std::uint64_t backoff_delay_ms(const BackoffParams& params, std::uint64_t stream
     delay = params.cap_ms;
   } else {
     delay <<= attempt;
-    if (delay > params.cap_ms) delay = params.cap_ms;
   }
-  const std::uint64_t spread = delay / 4;
-  if (spread > 1) {
-    const std::uint64_t h = mix64(mix64(params.seed ^ (stream << 20)) ^ attempt);
-    delay -= h % spread;
-  }
-  return delay;
+  return util::jittered_backoff(
+      delay, params.cap_ms,
+      util::mix64(util::mix64(params.seed ^ (stream << 20)) ^ attempt));
 }
 
 }  // namespace qcongest::serve

@@ -5,13 +5,13 @@
 namespace qcongest::serve {
 
 /// Capped, deterministically jittered retry backoff for qload (and any
-/// other client of the service). The scheme mirrors the reliable
-/// transport's retransmission timer (ReliableParams::rto_cap, DESIGN.md
-/// §7): exponential growth to a hard cap, then a hash-derived downward
-/// jitter of up to a quarter of the delay, so that many clients rejected
-/// by the same overload burst desynchronize instead of thundering back in
-/// lockstep — while any given (seed, stream, attempt) triple always yields
-/// the same delay, keeping load tests replayable.
+/// other client of the service). The scheme is the reliable transport's
+/// retransmission timer's (ReliableParams::rto_cap, DESIGN.md §7; both call
+/// util::jittered_backoff): exponential growth to a hard cap, then a
+/// hash-derived downward jitter of up to a quarter of the delay, so that
+/// many clients rejected by the same overload burst desynchronize instead
+/// of thundering back in lockstep — while any given (seed, stream, attempt)
+/// triple always yields the same delay, keeping load tests replayable.
 struct BackoffParams {
   /// Delay of attempt 0, before jitter.
   std::uint64_t base_ms = 10;

@@ -8,6 +8,29 @@
 
 namespace qcongest::util {
 
+/// splitmix64 finalizer: a cheap bijective 64-bit mixer. Chained folds over
+/// it give the reliable transport's frame checksums, snapshot digests,
+/// payload checksums and the hash-derived backoff jitter.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Capped backoff with deterministic downward jitter: min(delay, cap) minus
+/// `hash` modulo a quarter of it, when that quarter exceeds 1. Retries that
+/// time out on the same schedule (frames on one lossy link, clients shed by
+/// one overload burst) spread out instead of re-firing in lockstep, while a
+/// given hash always yields the same delay.
+constexpr std::uint64_t jittered_backoff(std::uint64_t delay, std::uint64_t cap,
+                                         std::uint64_t hash) {
+  if (delay > cap) delay = cap;
+  const std::uint64_t spread = delay / 4;
+  if (spread > 1) delay -= hash % spread;
+  return delay;
+}
+
 /// Deterministic, seedable random number generator used throughout the
 /// library. Every randomized algorithm takes an `Rng&` so that experiments
 /// are reproducible bit-for-bit from a seed.

@@ -3,6 +3,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/apps/net_options.hpp"
 #include "src/check/quantum_checks.hpp"
 #include "src/check/verifier.hpp"
 #include "src/net/engine.hpp"
@@ -82,6 +83,19 @@ TEST(Verifier, CleanRunHasNoViolations) {
             std::string::npos);
 }
 
+TEST(Verifier, StaysAttachedThroughNetOptionsConfigure) {
+  // Configuring a verified engine with default options (no taps) only adds
+  // observers, so the verifier still sees — and verifies — the run.
+  Graph g = net::path_graph(5);
+  VerifiedEngine verified(g, /*bandwidth_words=*/1, /*seed=*/3);
+  apps::NetOptions{}.configure(verified.engine());
+  auto programs = make_programs(5, [] { return std::make_unique<Flood>(); });
+  auto result = verified.run(programs, 20);
+  EXPECT_TRUE(result.completed);
+  EXPECT_TRUE(verified.verifier().ok()) << verified.verifier().report();
+  EXPECT_EQ(verified.verifier().runs_verified(), 1u);
+}
+
 TEST(Verifier, CleanRunUnderFaultsConserved) {
   // Fault-counter conservation: with an aggressive drop/corrupt/duplicate
   // lottery, sent must still equal delivered + dropped and every RunResult
@@ -134,7 +148,7 @@ TEST(Verifier, CatchesConservationBreak) {
   Verifier verifier;
   verifier.attach(engine);
   verifier.on_run_begin(engine);
-  verifier.on_send(0, 0, 1, Word{}, 1);
+  verifier.on_send(0, 0, 1, Word{}, 1, /*slot=*/0);
   // No on_delivery for the word above.
   verifier.on_round_end(0);
   net::RunResult stats;
@@ -154,7 +168,7 @@ TEST(Verifier, CatchesCounterMismatch) {
   Verifier verifier;
   verifier.attach(engine);
   verifier.on_run_begin(engine);
-  verifier.on_send(0, 0, 1, Word{}, 1);
+  verifier.on_send(0, 0, 1, Word{}, 1, /*slot=*/0);
   verifier.on_delivery(0, 0, 1, net::DeliveryFate::kDelivered, false, false);
   verifier.on_round_end(0);
   verifier.on_round_end(1);
@@ -175,7 +189,7 @@ TEST(Verifier, CatchesQuiescenceInconsistency) {
   Verifier verifier;
   verifier.attach(engine);
   verifier.on_run_begin(engine);
-  verifier.on_send(0, 0, 1, Word{}, 1);
+  verifier.on_send(0, 0, 1, Word{}, 1, /*slot=*/0);
   verifier.on_delivery(0, 0, 1, net::DeliveryFate::kDelivered, false, false);
   verifier.on_round_end(0);
   verifier.on_round_end(1);

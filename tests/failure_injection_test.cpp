@@ -156,7 +156,7 @@ MatrixRun run_election(const FaultPlan& plan, bool recovery_enabled,
     recovery.checkpoint.every_rounds = 3;
     engine.set_recovery(recovery);
   }
-  if (watchdog != nullptr) engine.set_observer(watchdog);
+  engine.add_observer(watchdog);
   MatrixRun run;
   auto election = elect_leader(engine);
   run.leader = election.leader;

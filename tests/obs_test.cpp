@@ -9,6 +9,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "src/net/bfs.hpp"
 #include "src/net/generators.hpp"
@@ -231,7 +232,7 @@ TEST(RoundProfiler, SeriesMatchesEngineAccounting) {
   net::Graph g = net::path_graph(6);
   net::Engine engine(g);
   RoundProfiler profiler;
-  engine.set_observer(&profiler);
+  engine.add_observer(&profiler);
   net::BfsTree tree = net::build_bfs_tree(engine, 0);
 
   std::size_t sent = 0, delivered = 0;
@@ -252,7 +253,7 @@ TEST(RoundProfiler, ExplicitPhasesSliceTheTimeline) {
   net::Graph g = net::path_graph(4);
   net::Engine engine(g);
   RoundProfiler profiler;
-  engine.set_observer(&profiler);
+  engine.add_observer(&profiler);
   net::BfsTree tree = net::build_bfs_tree(engine, 0);
   profiler.reset();
 
@@ -280,32 +281,77 @@ TEST(RoundProfiler, SeriesAreThreadCountInvariant) {
     net::Engine engine(g);
     engine.set_threads(threads);
     RoundProfiler profiler;
-    engine.set_observer(&profiler);
+    engine.add_observer(&profiler);
     (void)net::build_bfs_tree(engine, 0);
     return profiler.rounds();
   };
   EXPECT_EQ(run(1), run(4));
 }
 
-TEST(RoundProfiler, ForwardsToDownstreamObserver) {
-  class Counter final : public net::EngineObserver {
-   public:
-    std::size_t sends = 0, runs = 0;
-    void on_send(std::size_t, net::NodeId, net::NodeId, const net::Word&,
-                 std::size_t) override {
-      ++sends;
-    }
-    void on_run_end(const net::RunResult&) override { ++runs; }
-  };
-  net::Graph g = net::path_graph(3);
-  net::Engine engine(g);
+/// Logs every engine callback as one line, so two observers' streams can be
+/// compared verbatim.
+class StreamLog final : public net::EngineObserver {
+ public:
+  std::string log;
+  std::size_t sends = 0, runs = 0;
+
+  void on_run_begin(const net::Engine&) override { log += "begin\n"; }
+  void on_send(std::size_t round, net::NodeId from, net::NodeId to,
+               const net::Word& word, std::size_t edge_words,
+               std::size_t slot) override {
+    ++sends;
+    line('s', round, from, to, static_cast<std::size_t>(word.tag), edge_words, slot);
+  }
+  void on_delivery(std::size_t round, net::NodeId from, net::NodeId to,
+                   net::DeliveryFate fate, bool corrupted, bool duplicated) override {
+    line('d', round, from, to, static_cast<std::size_t>(fate), corrupted, duplicated);
+  }
+  void on_retransmission(std::size_t round) override { line('x', round, 0, 0, 0, 0, 0); }
+  void on_round_end(std::size_t round) override { line('r', round, 0, 0, 0, 0, 0); }
+  void on_run_end(const net::RunResult& stats) override {
+    ++runs;
+    line('e', stats.rounds, stats.messages, stats.dropped_words, 0, 0, 0);
+  }
+
+ private:
+  void line(char kind, std::size_t a, std::size_t b, std::size_t c, std::size_t d,
+            std::size_t e, std::size_t f) {
+    char buf[128];
+    std::snprintf(buf, sizeof buf, "%c %zu %zu %zu %zu %zu %zu\n", kind, a, b, c, d, e,
+                  f);
+    log += buf;
+  }
+};
+
+TEST(EngineObservers, EveryObserverSeesTheSameStream) {
+  // A profiler and two logs on one engine, under a lossy reliable run so
+  // drops and retransmissions are in the stream too.
+  net::Graph g = net::path_graph(4);
+  net::Engine engine(g, 1, 5);
+  net::FaultPlan plan;
+  plan.link = net::FaultRates{0.3, 0.0, 0.0};
+  engine.set_fault_plan(plan);
+  engine.set_transport(net::Transport::kReliable);
   RoundProfiler profiler;
-  Counter downstream;
-  profiler.set_downstream(&downstream);
-  engine.set_observer(&profiler);
+  StreamLog first, second;
+  engine.add_observer(&first);
+  engine.add_observer(&profiler);
+  engine.add_observer(&second);
+  engine.add_observer(&first);  // already listed: no second copy
   net::BfsTree tree = net::build_bfs_tree(engine, 0);
-  EXPECT_EQ(downstream.sends, tree.cost.messages);
-  EXPECT_EQ(downstream.runs, 1u);
+  EXPECT_EQ(first.log, second.log);
+  EXPECT_EQ(first.sends, tree.cost.messages);
+  EXPECT_EQ(first.runs, 1u);
+  EXPECT_NE(first.log.find("\nx "), std::string::npos);  // a retransmission
+  std::size_t profiled = 0;
+  for (const RoundProfiler::RoundSample& s : profiler.rounds()) profiled += s.sent;
+  EXPECT_EQ(profiled, tree.cost.messages);
+
+  // Cleared, the engine notifies nobody.
+  engine.clear_observers();
+  const std::string before = first.log;
+  (void)net::build_bfs_tree(engine, 0);
+  EXPECT_EQ(first.log, before);
 }
 
 // --- RunReport -------------------------------------------------------------
@@ -315,8 +361,8 @@ RunReport make_report() {
   net::Engine engine(g);
   net::Trace trace;
   RoundProfiler profiler;
-  engine.set_trace(&trace);
-  engine.set_observer(&profiler);
+  engine.add_observer(&trace);
+  engine.add_observer(&profiler);
   net::BfsTree tree = net::build_bfs_tree(engine, 0);
 
   RunReport report("obs_test");

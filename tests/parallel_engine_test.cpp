@@ -99,7 +99,7 @@ WorkloadRun run_workload(const net::Graph& g, std::size_t threads,
   engine.set_threads(threads);
   if (plan != nullptr) engine.set_fault_plan(*plan);
   net::Trace trace(/*keep_events=*/true);
-  engine.set_trace(&trace);
+  engine.add_observer(&trace);
 
   WorkloadRun out;
   try {
@@ -182,7 +182,7 @@ TEST(ParallelEngine, ReliableTransportStaysSerial) {
     engine.set_threads(threads);
     EXPECT_EQ(engine.threads(), threads);
     net::Trace trace(/*keep_events=*/true);
-    engine.set_trace(&trace);
+    engine.add_observer(&trace);
     net::BfsTree tree = net::build_bfs_tree(engine, 0);
     return render(trace) + " rounds=" + std::to_string(tree.cost.rounds);
   };

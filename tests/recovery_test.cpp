@@ -8,11 +8,13 @@
 #include <memory>
 #include <vector>
 
+#include "src/check/verifier.hpp"
 #include "src/net/bfs.hpp"
 #include "src/net/engine.hpp"
 #include "src/net/fault.hpp"
 #include "src/net/generators.hpp"
 #include "src/net/trace.hpp"
+#include "src/obs/round_profiler.hpp"
 #include "src/recover/checkpoint.hpp"
 #include "src/recover/watchdog.hpp"
 
@@ -121,9 +123,11 @@ TEST(Watchdog, RetransmitStormNamesSuspects) {
 
   // Node 1 starts swallowing words at round 1 and never absolves itself.
   for (std::size_t r = 1; r < 5; ++r) {
-    dog.on_send(r, 0, 1, Word{}, 1);
+    dog.on_send(r, 0, 1, Word{}, 1, /*slot=*/0);
     dog.on_delivery(r, 0, 1, net::DeliveryFate::kDroppedCrashed, false, false);
-    if (r < 4) EXPECT_NO_THROW(dog.on_round_end(r));
+    if (r < 4) {
+      EXPECT_NO_THROW(dog.on_round_end(r));
+    }
   }
   try {
     dog.on_round_end(5);  // suspect since round 1: 5 - 1 >= stall_rounds
@@ -221,29 +225,6 @@ TEST(Watchdog, DeadlineExceeded) {
   EXPECT_THROW(dog.on_round_end(4), LivelockError);
 }
 
-TEST(Watchdog, ForwardsToDownstreamObserver) {
-  class CountingObserver final : public net::EngineObserver {
-   public:
-    std::size_t rounds = 0;
-    std::size_t deliveries = 0;
-    void on_round_end(std::size_t) override { ++rounds; }
-    void on_delivery(std::size_t, NodeId, NodeId, net::DeliveryFate, bool,
-                     bool) override {
-      ++deliveries;
-    }
-  };
-  Graph g = net::path_graph(2);
-  Engine engine(g);
-  CountingObserver downstream;
-  Watchdog dog;
-  dog.set_downstream(&downstream);
-  dog.on_run_begin(engine);
-  dog.on_delivery(0, 0, 1, net::DeliveryFate::kDelivered, false, false);
-  dog.on_round_end(0);
-  EXPECT_EQ(downstream.rounds, 1u);
-  EXPECT_EQ(downstream.deliveries, 1u);
-}
-
 // --- Direct-transport recovery: bounded rollback ------------------------
 
 /// Every node floods a deterministic token to its neighbors for a fixed
@@ -289,6 +270,42 @@ struct RingRun {
 
 constexpr std::size_t kNodes = 5;
 constexpr std::size_t kRounds = 12;
+
+TEST(Watchdog, ObserversAddedBeforeItSeeTheTrippingRound) {
+  // The watchdog throws from on_round_end, so observers added before it have
+  // recorded the round that trips it and observers added after it have not.
+  Graph g = net::cycle_graph(kNodes);
+  Engine engine(g);
+  obs::RoundProfiler profiler;
+  check::Verifier before;
+  check::Verifier after;
+  Watchdog dog(WatchdogConfig{/*stall_rounds=*/0, /*deadline_rounds=*/3});
+  engine.add_observer(&profiler);
+  before.attach(engine);
+  engine.add_observer(&dog);
+  after.attach(engine);
+  std::vector<std::unique_ptr<NodeProgram>> programs;
+  for (std::size_t v = 0; v < kNodes; ++v) {
+    programs.push_back(std::make_unique<RingCounter>(kRounds));
+  }
+  try {
+    (void)engine.run(programs, kRounds + 1);
+    FAIL() << "expected LivelockError";
+  } catch (const LivelockError& e) {
+    EXPECT_EQ(e.kind(), LivelockError::Kind::kDeadlineExceeded);
+    EXPECT_EQ(e.round(), 2u);
+  }
+  // The profiler's span grows to cover a round only at that round's end.
+  ASSERT_EQ(profiler.phases().size(), 1u);
+  EXPECT_EQ(profiler.phases()[0].rounds, 3u);
+  // Round 2 filled edge 0 -> 1 to its budget. A verifier's per-round edge
+  // count restarts at on_round_end, so one more word on that edge in round 3
+  // is within budget only for the verifier that saw round 2 end.
+  before.on_send(3, 0, 1, Word{}, /*edge_words=*/1, /*slot=*/0);
+  after.on_send(3, 0, 1, Word{}, /*edge_words=*/1, /*slot=*/0);
+  EXPECT_TRUE(before.ok()) << before.report();
+  EXPECT_FALSE(after.ok());
+}
 
 RingRun run_ring(const FaultPlan& plan, bool recovery_enabled) {
   Graph g = net::cycle_graph(kNodes);
@@ -458,7 +475,7 @@ TEST(RecoveryReliable, IdleVictimRestartsIntoRecovery) {
     Graph g = net::cycle_graph(kIdleRingNodes);
     Engine engine(g, 1, 29);
     engine.set_transport(net::Transport::kReliable);
-    engine.set_trace(trace);
+    engine.add_observer(trace);
     if (with_fault) {
       FaultPlan plan;
       plan.crashes.push_back(CrashEvent{0, kCrash, kRestart});

@@ -23,7 +23,7 @@ Frame expect_frame(FrameReader& reader) {
 TEST(ServeFrame, RoundTripsPayloads) {
   FrameReader reader;
   const std::string payloads[] = {"", "x", std::string(1000, 'q'),
-                                  std::string("\x00\xff\n binary \x07", 14)};
+                                  std::string("\x00\xff\n binary \x07", 12)};
   for (const std::string& payload : payloads) {
     reader.feed(encode_frame(FrameType::kSubmit, payload));
   }

@@ -430,6 +430,40 @@ TEST(ServeBackoff, DeterministicCappedAndJittered) {
   EXPECT_GT(backoff_delay_ms(params, 2, 6), params.base_ms);
 }
 
+TEST(ServeBackoff, DelaysArePinned) {
+  // Exact delays over a (stream, attempt) grid, so a refactor of the mixer
+  // or the cap-and-jitter step cannot silently reshape the schedule. Two
+  // parameter sets: the defaults (cap reached at attempt 6) and a far cap
+  // that keeps the exponential phase visible.
+  BackoffParams far;
+  far.base_ms = 3;
+  far.cap_ms = 100000;
+  far.seed = 42;
+  const std::uint64_t streams[] = {0, 1, 7, 1000};
+  const std::uint64_t attempts[] = {0, 1, 2, 3, 4, 5, 6, 7, 10, 20, 63, 64, 100};
+  const std::uint64_t want_default[4][13] = {
+      {10, 16, 37, 62, 152, 248, 640, 550, 483, 617, 583, 484, 632},
+      {10, 18, 34, 63, 145, 258, 481, 629, 574, 538, 584, 553, 527},
+      {10, 18, 39, 79, 146, 268, 603, 512, 539, 541, 532, 536, 499},
+      {10, 17, 40, 72, 123, 267, 634, 572, 624, 548, 520, 514, 599},
+  };
+  const std::uint64_t want_far[4][13] = {
+      {3, 6, 12, 22, 47, 95, 161, 384, 2658, 98274, 80615, 97989, 94657},
+      {3, 6, 11, 20, 37, 94, 148, 371, 2669, 94054, 94295, 95435, 78346},
+      {3, 6, 11, 24, 45, 83, 166, 347, 2754, 98724, 77938, 77718, 97098},
+      {3, 6, 10, 24, 39, 94, 158, 305, 2934, 88059, 92929, 78228, 85317},
+  };
+  for (std::size_t s = 0; s < 4; ++s) {
+    for (std::size_t a = 0; a < 13; ++a) {
+      EXPECT_EQ(backoff_delay_ms(BackoffParams{}, streams[s], attempts[a]),
+                want_default[s][a])
+          << "stream " << streams[s] << " attempt " << attempts[a];
+      EXPECT_EQ(backoff_delay_ms(far, streams[s], attempts[a]), want_far[s][a])
+          << "stream " << streams[s] << " attempt " << attempts[a];
+    }
+  }
+}
+
 TEST(ServeBackoff, StreamsDesynchronize) {
   // Different streams (clients) see different jitter at the same attempt —
   // the anti-thundering-herd property. With 32 streams at attempt 4, at

@@ -17,7 +17,7 @@ TEST(Trace, RecordsEveryDelivery) {
   Graph g = path_graph(5);
   Engine engine(g);
   Trace trace(/*keep_events=*/true);
-  engine.set_trace(&trace);
+  engine.add_observer(&trace);
   BfsTree tree = build_bfs_tree(engine, 0);
   EXPECT_EQ(trace.size(), tree.cost.messages);
   // Rounds in the trace are consistent with the measured round count.
@@ -31,7 +31,7 @@ TEST(Trace, PerRoundCountsSumToTotal) {
   Graph g = star_graph(8);
   Engine engine(g);
   Trace trace;
-  engine.set_trace(&trace);
+  engine.add_observer(&trace);
   BfsTree tree = build_bfs_tree(engine, 0);
   auto down = pipelined_downcast(engine, tree, {1, 2, 3, 4}, true);
   std::size_t total = 0;
@@ -44,7 +44,7 @@ TEST(Trace, BusiestEdgesAndTags) {
   Graph g = path_graph(4);
   Engine engine(g);
   Trace trace;
-  engine.set_trace(&trace);
+  engine.add_observer(&trace);
   BfsTree tree = build_bfs_tree(engine, 0);
   trace.clear();
   (void)pipelined_downcast(engine, tree, {1, 2, 3, 4, 5}, false);
@@ -60,13 +60,13 @@ TEST(Trace, TimelineRenders) {
   Graph g = path_graph(3);
   Engine engine(g);
   Trace trace;
-  engine.set_trace(&trace);
+  engine.add_observer(&trace);
   (void)build_bfs_tree(engine, 0);
   std::string timeline = trace.render_timeline(20);
   EXPECT_NE(timeline.find("r0 |"), std::string::npos);
   EXPECT_NE(timeline.find('#'), std::string::npos);
   // Detaching stops recording.
-  engine.set_trace(nullptr);
+  engine.clear_observers();
   std::size_t before = trace.size();
   (void)build_bfs_tree(engine, 0);
   EXPECT_EQ(trace.size(), before);
@@ -76,7 +76,7 @@ TEST(Trace, EdgeTotalsFeedDotExport) {
   Graph g = path_graph(3);
   Engine engine(g);
   Trace trace;
-  engine.set_trace(&trace);
+  engine.add_observer(&trace);
   BfsTree tree = build_bfs_tree(engine, 0);
   (void)pipelined_downcast(engine, tree, {1, 2}, false);
   auto totals = trace.edge_totals();
@@ -268,8 +268,8 @@ TEST(TraceDigest, SharedByEnginesOnTwoGraphs) {
   Engine on_path(path);
   Engine on_star(star);
   Trace trace(/*keep_events=*/true);
-  on_path.set_trace(&trace);
-  on_star.set_trace(&trace);
+  on_path.add_observer(&trace);
+  on_star.add_observer(&trace);
   BfsTree path_tree = build_bfs_tree(on_path, 0);
   BfsTree star_tree = build_bfs_tree(on_star, 3);
   trace.record(TraceEvent{0, 0, 0, -1, false});
