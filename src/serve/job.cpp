@@ -12,30 +12,14 @@
 #include "src/obs/round_profiler.hpp"
 #include "src/obs/run_report.hpp"
 #include "src/recover/watchdog.hpp"
+#include "src/util/parse.hpp"
 
 namespace qcongest::serve {
 
 namespace {
 
-bool parse_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty() || text.size() > 20) return false;
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;  // overflow
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
-bool parse_size(std::string_view text, std::size_t* out) {
-  std::uint64_t v = 0;
-  if (!parse_u64(text, &v)) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
+using util::parse_size;
+using util::parse_u64;
 
 bool parse_prob(std::string_view text, double* out) {
   // Strict fixed/float notation, no exponents, no signs: probabilities on

@@ -1,17 +1,21 @@
 // The reliable link transport: exactly-once in-order delivery over lossy
 // links, unmodified protocol correctness (leader election / BFS) on faulty
-// networks, deterministic replay including retransmission counts, and the
-// invariance of inner-protocol outputs across fault rates.
+// networks, deterministic replay including retransmission counts, the
+// invariance of inner-protocol outputs across fault rates, and the
+// framework's tree phases (Lemma 7 downcast, Theorem 8 convergecast, state
+// distribution) run exactly over faulty links.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "src/apps/eccentricity.hpp"
+#include "src/framework/distributed_state.hpp"
 #include "src/net/bfs.hpp"
 #include "src/net/engine.hpp"
 #include "src/net/fault.hpp"
 #include "src/net/generators.hpp"
+#include "src/net/pipeline.hpp"
 
 namespace qcongest::net {
 namespace {
@@ -233,6 +237,63 @@ TEST(ReliableTransport, EccentricityAppExactUnderLoss) {
   EXPECT_GT(diameter.cost.retransmissions, 0u);
   auto radius = apps::radius_classical(g, options);
   EXPECT_EQ(radius.value, g.radius());
+}
+
+/// The framework's tree phases under faults: the BFS tree is built on a
+/// clean network, then the phase alone runs over the reliable transport
+/// with `plan` (a 15-node binary tree, engine seed 3).
+struct TreePhaseUnderFaults {
+  Graph graph = binary_tree(15);
+  Engine engine{graph, 1, 3};
+  BfsTree tree = build_bfs_tree(engine, 0);
+
+  explicit TreePhaseUnderFaults(const FaultPlan& plan) {
+    engine.set_fault_plan(plan);
+    engine.set_transport(Transport::kReliable);
+  }
+};
+
+TEST(ReliableTransport, TreeDowncastExactUnderCorruption) {
+  TreePhaseUnderFaults f(lossy_plan(0.0, 0.02, 0.0, 97));
+  const std::vector<std::int64_t> payload = {11, 22, 33, 44, 55, 66};
+  DowncastResult result = pipelined_downcast(f.engine, f.tree, payload, false);
+  EXPECT_TRUE(result.cost.completed);
+  EXPECT_GT(result.cost.corrupted_words, 0u);
+  for (const auto& row : result.received) EXPECT_EQ(row, payload);
+}
+
+TEST(ReliableTransport, TreeConvergecastExactUnderCorruption) {
+  TreePhaseUnderFaults f(lossy_plan(0.0, 0.02, 0.0, 51));
+  std::vector<std::vector<std::int64_t>> values(f.graph.num_nodes(), {5});
+  ConvergecastResult result = pipelined_convergecast(
+      f.engine, f.tree, values, 1, [](std::int64_t a, std::int64_t b) { return a + b; },
+      false);
+  EXPECT_TRUE(result.cost.completed);
+  EXPECT_GT(result.cost.corrupted_words, 0u);
+  EXPECT_EQ(result.totals, std::vector<std::int64_t>{75});
+}
+
+TEST(ReliableTransport, StateDistributionCompletesUnderLoss) {
+  TreePhaseUnderFaults f(lossy_plan(0.02, 0.0, 0.0, 23));
+  RunResult cost = framework::distribute_state(f.engine, f.tree, 32);
+  EXPECT_TRUE(cost.completed);
+  EXPECT_GT(cost.dropped_words, 0u);
+  EXPECT_GT(cost.quantum_words, 0u);
+}
+
+// With every word lost the phase cannot finish: it fails loudly, and the
+// engine's last_stats still charge what the failed run sent and lost.
+TEST(ReliableTransport, DowncastOverDeadLinksThrowsAndChargesTheLoss) {
+  TreePhaseUnderFaults f(lossy_plan(1.0, 0.0, 0.0));
+  try {
+    pipelined_downcast(f.engine, f.tree, {11, 22, 33, 44, 55, 66}, false);
+    FAIL() << "expected the downcast to fail";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("did not complete"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_GT(f.engine.last_stats().messages, 0u);
+  EXPECT_GT(f.engine.last_stats().dropped_words, 0u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <set>
 
 #include "src/util/combinatorics.hpp"
+#include "src/util/parse.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/stats.hpp"
 
@@ -193,6 +194,40 @@ TEST(Stats, MedianOddEven) {
   EXPECT_DOUBLE_EQ(median({4.0, 1.0, 2.0, 3.0}), 2.5);
   EXPECT_DOUBLE_EQ(median({}), 0.0);
   EXPECT_DOUBLE_EQ(median({42.0}), 42.0);
+}
+
+// Every numeric flag of the tools goes through these: "-1" must be an
+// error, never 2^64-1.
+TEST(Parse, U64TakesOnlyDigitsWithoutOverflow) {
+  std::uint64_t v = 7;
+  EXPECT_TRUE(parse_u64("0", &v));
+  EXPECT_EQ(v, 0u);
+  EXPECT_TRUE(parse_u64("18446744073709551615", &v));  // 2^64 - 1
+  EXPECT_EQ(v, UINT64_MAX);
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "\t1", "1x", "0x10", "abc",
+                          "18446744073709551616",  // 2^64
+                          "99999999999999999999"}) {
+    v = 7;
+    EXPECT_FALSE(parse_u64(bad, &v)) << "'" << bad << "'";
+    EXPECT_EQ(v, 7u) << "'" << bad << "'";
+  }
+  std::size_t n = 0;
+  EXPECT_TRUE(parse_size("40", &n));
+  EXPECT_EQ(n, 40u);
+  EXPECT_FALSE(parse_size("-1", &n));
+}
+
+TEST(Parse, DoubleMustConsumeTheWholeFiniteText) {
+  double d = 0.0;
+  EXPECT_TRUE(parse_double("0.25", &d));
+  EXPECT_DOUBLE_EQ(d, 0.25);
+  EXPECT_TRUE(parse_double("1e-3", &d));
+  EXPECT_DOUBLE_EQ(d, 1e-3);
+  for (const char* bad : {"", " 1", "1 ", "abc", "1.0x", "inf", "nan", "1e999"}) {
+    d = 2.0;
+    EXPECT_FALSE(parse_double(bad, &d)) << "'" << bad << "'";
+    EXPECT_DOUBLE_EQ(d, 2.0) << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -42,7 +42,7 @@
 // against a sharded run instead of two serial runs, which is the strongest
 // reproducibility check the tool offers. --jobs J fans ready sweep
 // experiments across J DAG workers (ignored under --verify, whose shared
-// conformance observer must see runs one at a time).
+// conformance observer must see runs one at a time). Both take 0..64.
 //
 // Fault levels pair a word-drop probability with proportional corruption
 // (rate/5) and duplication (rate/10) so a single knob exercises all three
@@ -108,6 +108,7 @@
 #include "src/obs/run_report.hpp"
 #include "src/recover/watchdog.hpp"
 #include "src/util/env.hpp"
+#include "src/util/parse.hpp"
 
 using namespace qcongest;
 
@@ -142,6 +143,9 @@ constexpr std::size_t kRestartRound = 60;
 // reliable transport's retransmission backoff cap (ReliableParams::rto_cap).
 constexpr std::size_t kLaneStallRounds = 512;
 constexpr std::size_t kLaneCheckpointEvery = 3;  // virtual rounds per checkpoint
+// Ceiling on --threads and --jobs: each asks for that many OS threads, and
+// no sweep this tool runs has more useful parallelism.
+constexpr std::size_t kMaxWorkers = 64;
 
 // The application suite and topology factory are shared with the qcongestd
 // service (src/apps/registry); chaos_run keeps only its sweep/report logic.
@@ -155,6 +159,29 @@ net::Graph make_graph(const Options& opt) {
     std::fprintf(stderr, "%s\n", e.what());
     std::exit(2);
   }
+}
+
+void usage() {
+  std::puts(
+      "usage: chaos_run [--nodes N] [--trials T] [--graph FAMILY]\n"
+      "                 [--transport reliable|direct] [--seed S]\n"
+      "                 [--threads T] [--jobs J] [--deadline ROUNDS]\n"
+      "                 [--verify] [--audit-determinism] [--report PATH]\n"
+      "                 [--amnesia] [--recover]\n"
+      "                 [--cache] [--no-cache] [--cache-dir PATH]\n"
+      "       chaos_run gc [--cache-dir PATH] [--max-bytes N]\n"
+      "families: tree path cycle grid random star complete");
+}
+
+/// One swept fault level: word-drop probability `rate` with proportional
+/// corruption (rate/5) and duplication (rate/10), drawn from `fault_seed`.
+net::FaultPlan level_plan(double rate, std::uint64_t fault_seed) {
+  net::FaultPlan plan;
+  plan.link.drop = rate;
+  plan.link.corrupt = rate / 5.0;
+  plan.link.duplicate = rate / 10.0;
+  plan.seed = fault_seed;
+  return plan;
 }
 
 bool parse(int argc, char** argv, Options& opt) {
@@ -189,26 +216,27 @@ bool parse(int argc, char** argv, Options& opt) {
       return false;
     }
     std::string value = argv[++i];
+    bool ok = true;
     if (flag == "--nodes") {
-      opt.nodes = static_cast<std::size_t>(std::stoul(value));
+      ok = util::parse_size(value, &opt.nodes);
     } else if (flag == "--trials") {
-      opt.trials = static_cast<std::size_t>(std::stoul(value));
+      ok = util::parse_size(value, &opt.trials);
     } else if (flag == "--graph") {
       opt.graph = value;
     } else if (flag == "--seed") {
-      opt.seed = std::stoull(value);
+      ok = util::parse_u64(value, &opt.seed);
     } else if (flag == "--threads") {
-      opt.threads = static_cast<std::size_t>(std::stoul(value));
+      ok = util::parse_size(value, &opt.threads) && opt.threads <= kMaxWorkers;
       if (opt.threads == 0) opt.threads = 1;
     } else if (flag == "--jobs") {
-      opt.jobs = static_cast<std::size_t>(std::stoul(value));
+      ok = util::parse_size(value, &opt.jobs) && opt.jobs <= kMaxWorkers;
       if (opt.jobs == 0) opt.jobs = 1;
     } else if (flag == "--report") {
       opt.report = value;
     } else if (flag == "--cache-dir") {
       opt.cache_dir = value;
     } else if (flag == "--deadline") {
-      opt.deadline_rounds = static_cast<std::size_t>(std::stoul(value));
+      ok = util::parse_size(value, &opt.deadline_rounds);
     } else if (flag == "--transport") {
       if (value == "reliable") {
         opt.transport = net::Transport::kReliable;
@@ -220,6 +248,13 @@ bool parse(int argc, char** argv, Options& opt) {
       }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value for %s: %s\n", flag.c_str(), value.c_str());
+      if (flag == "--threads" || flag == "--jobs") {
+        std::fprintf(stderr, "%s takes 0..%zu\n", flag.c_str(), kMaxWorkers);
+      }
       return false;
     }
   }
@@ -290,10 +325,7 @@ int run_determinism_audit(const net::Graph& graph, const Options& opt,
         apps::NetOptions options;
         options.transport = opt.transport;
         options.seed = opt.seed;
-        options.fault_plan.link.drop = rate;
-        options.fault_plan.link.corrupt = rate / 5.0;
-        options.fault_plan.link.duplicate = rate / 10.0;
-        options.fault_plan.seed = opt.seed * 1000;
+        options.fault_plan = level_plan(rate, opt.seed * 1000);
         // The second run uses the sharded engine; transcripts must still be
         // byte-identical to the serial first run.
         options.threads = repeat == 0 ? 1 : opt.threads;
@@ -555,11 +587,8 @@ std::string run_sweep_experiment(const net::Graph& graph, const Options& opt,
     apps::NetOptions options;
     options.transport = opt.transport;
     options.threads = opt.threads;
-    options.fault_plan.link.drop = rate;
-    options.fault_plan.link.corrupt = rate / 5.0;
-    options.fault_plan.link.duplicate = rate / 10.0;
     options.seed = opt.seed + trial;
-    options.fault_plan.seed = opt.seed * 1000 + trial;
+    options.fault_plan = level_plan(rate, opt.seed * 1000 + trial);
     if (verifier != nullptr) options.observer = verifier;
     // --deadline: a per-trial, stack-local watchdog — concurrent experiments
     // (--jobs) must never share observer state. The LivelockError it throws
@@ -589,20 +618,21 @@ int run_gc(int argc, char** argv) {
     std::string flag = argv[i];
     if (i + 1 >= argc) {
       std::fprintf(stderr, "flag %s needs a value\n", flag.c_str());
+      usage();
       return 2;
     }
     std::string value = argv[++i];
     if (flag == "--cache-dir") {
       dir = value;
     } else if (flag == "--max-bytes") {
-      char* end = nullptr;
-      max_bytes = std::strtoull(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0') {
-        std::fprintf(stderr, "bad --max-bytes: %s\n", value.c_str());
+      if (!util::parse_u64(value, &max_bytes)) {
+        std::fprintf(stderr, "bad value for --max-bytes: %s\n", value.c_str());
+        usage();
         return 2;
       }
     } else {
       std::fprintf(stderr, "unknown gc flag: %s\n", flag.c_str());
+      usage();
       return 2;
     }
   }
@@ -738,10 +768,7 @@ int write_run_report(const net::Graph& graph, const Options& opt,
       options.transport = opt.transport;
       options.threads = opt.threads;
       options.seed = opt.seed;
-      options.fault_plan.link.drop = rate;
-      options.fault_plan.link.corrupt = rate / 5.0;
-      options.fault_plan.link.duplicate = rate / 10.0;
-      options.fault_plan.seed = opt.seed * 1000;
+      options.fault_plan = level_plan(rate, opt.seed * 1000);
       instrument(app, std::string(app.name) + "@drop=" + rate_label(rate),
                  options, [&](obs::RunReport::Section& section) {
                    section.set_label("drop", rate_label(rate));
@@ -790,15 +817,7 @@ int main(int argc, char** argv) {
 
   Options opt;
   if (!parse(argc, argv, opt)) {
-    std::puts(
-        "usage: chaos_run [--nodes N] [--trials T] [--graph FAMILY]\n"
-        "                 [--transport reliable|direct] [--seed S]\n"
-        "                 [--threads T] [--jobs J] [--deadline ROUNDS]\n"
-        "                 [--verify] [--audit-determinism] [--report PATH]\n"
-        "                 [--amnesia] [--recover]\n"
-        "                 [--cache] [--no-cache] [--cache-dir PATH]\n"
-        "       chaos_run gc [--cache-dir PATH] [--max-bytes N]\n"
-        "families: tree path cycle grid random star complete");
+    usage();
     return 2;
   }
 

@@ -41,6 +41,7 @@
 #include "src/obs/metrics.hpp"
 #include "src/obs/round_profiler.hpp"
 #include "src/obs/run_report.hpp"
+#include "src/util/parse.hpp"
 
 using namespace qcongest;
 
@@ -73,27 +74,36 @@ void usage() {
 bool parse(int argc, char** argv, Options& opt) {
   if (argc < 2) return false;
   opt.problem = argv[1];
-  for (int i = 2; i + 1 < argc; i += 2) {
+  for (int i = 2; i < argc; i += 2) {
     std::string flag = argv[i];
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "flag %s needs a value\n", flag.c_str());
+      return false;
+    }
     std::string value = argv[i + 1];
+    bool ok = true;
     if (flag == "--graph") {
       opt.graph = value;
     } else if (flag == "--nodes") {
-      opt.nodes = static_cast<std::size_t>(std::stoul(value));
+      ok = util::parse_size(value, &opt.nodes);
     } else if (flag == "--k") {
-      opt.k = static_cast<std::size_t>(std::stoul(value));
+      ok = util::parse_size(value, &opt.k);
     } else if (flag == "--girth") {
-      opt.girth = static_cast<std::size_t>(std::stoul(value));
+      ok = util::parse_size(value, &opt.girth);
     } else if (flag == "--epsilon") {
-      opt.epsilon = std::stod(value);
+      ok = util::parse_double(value, &opt.epsilon);
     } else if (flag == "--seed") {
-      opt.seed = std::stoull(value);
+      ok = util::parse_u64(value, &opt.seed);
     } else if (flag == "--bandwidth") {
-      opt.bandwidth = static_cast<std::size_t>(std::stoul(value));
+      ok = util::parse_size(value, &opt.bandwidth);
     } else if (flag == "--report") {
       opt.report = value;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "bad value for %s: %s\n", flag.c_str(), value.c_str());
       return false;
     }
   }

@@ -25,8 +25,11 @@
 #include "src/obs/metrics.hpp"
 #include "src/serve/server.hpp"
 #include "src/util/env.hpp"
+#include "src/util/parse.hpp"
 
 namespace {
+
+using qcongest::util::parse_size;
 
 qcongest::serve::Server* g_server = nullptr;
 
@@ -61,15 +64,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool parse_size(const char* text, std::size_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -82,51 +76,39 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "qcongestd: %s needs a value\n", arg.c_str());
+        usage(argv[0]);
         std::exit(2);
       }
       return argv[++i];
+    };
+    auto bad = [&]() {
+      std::fprintf(stderr, "qcongestd: bad %s\n", arg.c_str());
+      usage(argv[0]);
+      return 2;
     };
     std::size_t value = 0;
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
     } else if (arg == "--port") {
-      if (!parse_size(next(), &value) || value > 65535) {
-        std::fprintf(stderr, "qcongestd: bad --port\n");
-        return 2;
-      }
+      if (!parse_size(next(), &value) || value > 65535) return bad();
       config.port = static_cast<std::uint16_t>(value);
     } else if (arg == "--bind") {
       config.bind_address = next();
     } else if (arg == "--workers") {
-      if (!parse_size(next(), &value) || value == 0) {
-        std::fprintf(stderr, "qcongestd: bad --workers\n");
-        return 2;
-      }
+      if (!parse_size(next(), &value) || value == 0) return bad();
       config.service.workers = value;
     } else if (arg == "--max-pending") {
-      if (!parse_size(next(), &value) || value == 0) {
-        std::fprintf(stderr, "qcongestd: bad --max-pending\n");
-        return 2;
-      }
+      if (!parse_size(next(), &value) || value == 0) return bad();
       config.service.max_pending = value;
     } else if (arg == "--max-connections") {
-      if (!parse_size(next(), &value) || value == 0) {
-        std::fprintf(stderr, "qcongestd: bad --max-connections\n");
-        return 2;
-      }
+      if (!parse_size(next(), &value) || value == 0) return bad();
       config.max_connections = value;
     } else if (arg == "--max-nodes") {
-      if (!parse_size(next(), &value) || value < 2) {
-        std::fprintf(stderr, "qcongestd: bad --max-nodes\n");
-        return 2;
-      }
+      if (!parse_size(next(), &value) || value < 2) return bad();
       config.service.limits.max_nodes = value;
     } else if (arg == "--deadline-rounds") {
-      if (!parse_size(next(), &value) || value == 0) {
-        std::fprintf(stderr, "qcongestd: bad --deadline-rounds\n");
-        return 2;
-      }
+      if (!parse_size(next(), &value) || value == 0) return bad();
       config.service.default_deadline_rounds = value;
     } else if (arg == "--cache-dir") {
       config.service.cache_dir = next();

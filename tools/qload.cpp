@@ -46,12 +46,15 @@
 
 #include "src/serve/backoff.hpp"
 #include "src/serve/frame.hpp"
+#include "src/util/parse.hpp"
 
 namespace {
 
 using qcongest::serve::Frame;
 using qcongest::serve::FrameReader;
 using qcongest::serve::FrameType;
+using qcongest::util::parse_double;
+using qcongest::util::parse_u64;
 
 struct Options {
   std::string host = "127.0.0.1";
@@ -221,8 +224,7 @@ Reply parse_reply(std::string_view payload) {
     } else if (key == "reason" || key == "error") {
       reply.reason = std::string(value);
     } else if (key == "retry_after_ms") {
-      reply.retry_after_ms = std::strtoull(std::string(value).c_str(),
-                                           nullptr, 10);
+      if (!parse_u64(value, &reply.retry_after_ms)) reply.retry_after_ms = 0;
     }
   }
   return reply;
@@ -419,15 +421,6 @@ void usage(const char* argv0) {
       argv0);
 }
 
-bool parse_u64_arg(const char* text, std::uint64_t* out) {
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long value = std::strtoull(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0') return false;
-  *out = value;
-  return true;
-}
-
 std::vector<std::string> split_csv(const std::string& text) {
   std::vector<std::string> out;
   std::size_t pos = 0;
@@ -449,9 +442,15 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
         std::fprintf(stderr, "qload: %s needs a value\n", arg.c_str());
+        usage(argv[0]);
         std::exit(2);
       }
       return argv[++i];
+    };
+    auto bad = [&](const char* want = "") {
+      std::fprintf(stderr, "qload: bad %s%s\n", arg.c_str(), want);
+      usage(argv[0]);
+      return 2;
     };
     std::uint64_t value = 0;
     if (arg == "--help" || arg == "-h") {
@@ -460,56 +459,33 @@ int main(int argc, char** argv) {
     } else if (arg == "--host") {
       opt.host = next();
     } else if (arg == "--port") {
-      if (!parse_u64_arg(next(), &value) || value == 0 || value > 65535) {
-        std::fprintf(stderr, "qload: bad --port\n");
-        return 2;
-      }
+      if (!parse_u64(next(), &value) || value == 0 || value > 65535) return bad();
       opt.port = static_cast<std::uint16_t>(value);
     } else if (arg == "--port-file") {
       opt.port_file = next();
     } else if (arg == "--jobs") {
-      if (!parse_u64_arg(next(), &value) || value == 0) {
-        std::fprintf(stderr, "qload: bad --jobs\n");
-        return 2;
-      }
+      if (!parse_u64(next(), &value) || value == 0) return bad();
       opt.jobs = static_cast<std::size_t>(value);
     } else if (arg == "--apps") {
       opt.apps = split_csv(next());
-      if (opt.apps.empty()) {
-        std::fprintf(stderr, "qload: bad --apps\n");
-        return 2;
-      }
+      if (opt.apps.empty()) return bad();
     } else if (arg == "--graph") {
       opt.graph = next();
     } else if (arg == "--nodes") {
-      if (!parse_u64_arg(next(), &value) || value < 2) {
-        std::fprintf(stderr, "qload: bad --nodes\n");
-        return 2;
-      }
+      if (!parse_u64(next(), &value) || value < 2) return bad();
       opt.nodes = static_cast<std::size_t>(value);
     } else if (arg == "--seed") {
-      if (!parse_u64_arg(next(), &value)) {
-        std::fprintf(stderr, "qload: bad --seed\n");
-        return 2;
-      }
+      if (!parse_u64(next(), &value)) return bad();
       opt.seed = value;
     } else if (arg == "--threads") {
-      if (!parse_u64_arg(next(), &value) || value == 0) {
-        std::fprintf(stderr, "qload: bad --threads\n");
-        return 2;
-      }
+      if (!parse_u64(next(), &value) || value == 0) return bad();
       opt.threads = static_cast<std::size_t>(value);
     } else if (arg == "--deadline") {
-      if (!parse_u64_arg(next(), &value)) {
-        std::fprintf(stderr, "qload: bad --deadline\n");
-        return 2;
-      }
+      if (!parse_u64(next(), &value)) return bad();
       opt.deadline_rounds = static_cast<std::size_t>(value);
     } else if (arg == "--drop") {
-      opt.drop = std::strtod(next(), nullptr);
-      if (opt.drop < 0.0 || opt.drop > 1.0) {
-        std::fprintf(stderr, "qload: bad --drop\n");
-        return 2;
+      if (!parse_double(next(), &opt.drop) || opt.drop < 0.0 || opt.drop > 1.0) {
+        return bad();
       }
     } else if (arg == "--burst") {
       opt.burst = true;
@@ -518,17 +494,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--check-determinism") {
       opt.check_determinism = true;
     } else if (arg == "--max-retries") {
-      if (!parse_u64_arg(next(), &value)) {
-        std::fprintf(stderr, "qload: bad --max-retries\n");
-        return 2;
-      }
+      if (!parse_u64(next(), &value)) return bad();
       opt.max_retries = static_cast<std::size_t>(value);
     } else if (arg == "--timeout-ms") {
       // Bound before the int cast: an hour is already absurd for a frame
       // round-trip, and anything past INT_MAX would wrap negative.
-      if (!parse_u64_arg(next(), &value) || value == 0 || value > 3600000) {
-        std::fprintf(stderr, "qload: bad --timeout-ms (want 1..3600000)\n");
-        return 2;
+      if (!parse_u64(next(), &value) || value == 0 || value > 3600000) {
+        return bad(" (want 1..3600000)");
       }
       opt.timeout_ms = static_cast<int>(value);
     } else if (arg == "--reconnect") {
