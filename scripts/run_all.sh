@@ -65,9 +65,9 @@ run "examples" run_examples
 
 run "cache-smoke" scripts/cache_smoke.sh
 
-run "cli-diameter" build/tools/qcongest_cli diameter --graph two-stars --nodes 64
-run "cli-meeting" build/tools/qcongest_cli meeting --graph path --nodes 9 --k 16384
-run "cli-girth" build/tools/qcongest_cli girth --graph cycle-trees --nodes 50 --girth 6
+run "cli-diameter" build/tools/qcongest_cli diameter_q --graph two-stars --nodes 64
+run "cli-meeting" build/tools/qcongest_cli meeting_q --graph path --nodes 9
+run "cli-girth" build/tools/qcongest_cli girth_q --graph cycle-trees --nodes 50
 
 if [ "${#failures[@]}" -gt 0 ]; then
   echo

@@ -253,10 +253,12 @@ CycleBfsResult cycle_bfs(net::Engine& engine, const std::vector<net::NodeId>& so
 }
 
 CycleSearchResult light_cycle_detection(const net::Graph& graph, std::size_t k,
-                                        std::size_t degree_threshold) {
+                                        std::size_t degree_threshold,
+                                        const NetOptions& options) {
   if (k < 3) throw std::invalid_argument("light_cycle_detection: k < 3");
   const std::size_t n = graph.num_nodes();
-  net::Engine engine(graph, 1, 7);
+  net::Engine engine(graph, options.bandwidth, 7);
+  options.configure(engine);
   CycleSearchResult result;
 
   std::vector<bool> active(n);
@@ -304,9 +306,10 @@ namespace {
 /// G \ {s}) numeric values come from ground truth, which the paper's
 /// procedure provably computes.
 CycleSearchResult heavy_cycle_detection(const net::Graph& graph, std::size_t k,
-                                        util::Rng& rng) {
+                                        util::Rng& rng, const NetOptions& options) {
   const std::size_t n = graph.num_nodes();
-  net::Engine engine(graph, 1, rng.engine()());
+  net::Engine engine(graph, options.bandwidth, rng.engine()());
+  options.configure(engine);
   CycleSearchResult result;
 
   auto election = net::elect_leader(engine);
@@ -337,6 +340,7 @@ CycleSearchResult heavy_cycle_detection(const net::Graph& graph, std::size_t k,
   config.value_bits = 21;  // candidates fit below kNoCycle = 2^20
   config.combine = [](std::int64_t a, std::int64_t b) { return std::min(a, b); };
   config.identity = kNoCycle;
+  config.profiler = options.metrics;
 
   framework::DistributedOracle::BatchComputer computer =
       [&engine, &value, n, k](std::span<const std::size_t> indices) {
@@ -370,7 +374,8 @@ CycleSearchResult heavy_cycle_detection(const net::Graph& graph, std::size_t k,
 }  // namespace
 
 CycleSearchResult cycle_detection_with_beta(const net::Graph& graph, std::size_t k,
-                                            double beta, util::Rng& rng) {
+                                            double beta, util::Rng& rng,
+                                            const NetOptions& options) {
   if (k < 3) throw std::invalid_argument("cycle_detection: k < 3");
   const std::size_t n = graph.num_nodes();
   // A cycle, if any exists, has length <= 2D + 1.
@@ -380,8 +385,8 @@ CycleSearchResult cycle_detection_with_beta(const net::Graph& graph, std::size_t
   auto threshold = static_cast<std::size_t>(
       std::ceil(std::pow(static_cast<double>(n), beta)));
 
-  CycleSearchResult light = light_cycle_detection(graph, k, threshold);
-  CycleSearchResult heavy = heavy_cycle_detection(graph, k, rng);
+  CycleSearchResult light = light_cycle_detection(graph, k, threshold, options);
+  CycleSearchResult heavy = heavy_cycle_detection(graph, k, rng, options);
 
   CycleSearchResult result;
   result.cost += light.cost;
@@ -396,14 +401,20 @@ CycleSearchResult cycle_detection_with_beta(const net::Graph& graph, std::size_t
 }
 
 CycleSearchResult cycle_detection(const net::Graph& graph, std::size_t k,
-                                  util::Rng& rng) {
+                                  util::Rng& rng, const NetOptions& options) {
   double beta = cycle_beta(graph.num_nodes(), graph.diameter(), k);
-  return cycle_detection_with_beta(graph, k, beta, rng);
+  return cycle_detection_with_beta(graph, k, beta, rng, options);
 }
 
 CycleSearchResult cycle_detection_clustered(const net::Graph& graph, std::size_t k,
-                                            util::Rng& rng) {
+                                            util::Rng& rng, const NetOptions& options) {
   if (k < 3) throw std::invalid_argument("cycle_detection_clustered: k < 3");
+  if (!options.fault_plan.crashes.empty() || !options.fault_plan.edge_overrides.empty() ||
+      !options.tracked_cut.empty()) {
+    throw std::invalid_argument(
+        "cycle_detection_clustered: runs on cluster subgraphs, so options may not "
+        "name nodes (crash windows, edge overrides, tracked cut)");
+  }
   const std::size_t n = graph.num_nodes();
 
   net::Clustering clustering = net::cluster_graph(graph, 2 * k, rng);
@@ -442,19 +453,17 @@ CycleSearchResult cycle_detection_clustered(const net::Graph& graph, std::size_t
     if (!sub.connected()) continue;  // fringe truncation split it; the
                                      // cluster's own ball stays connected
 
-    CycleSearchResult local = cycle_detection(sub, k, rng);
+    CycleSearchResult local = cycle_detection(sub, k, rng, options);
     color_rounds[cluster.color] =
         std::max(color_rounds[cluster.color], local.cost.rounds);
-    result.cost.messages += local.cost.messages;
-    result.cost.classical_words += local.cost.classical_words;
-    result.cost.quantum_words += local.cost.quantum_words;
+    local.cost.rounds = 0;  // rounds are charged per color below
+    result.cost += local.cost;
     result.batches += local.batches;
     if (local.cycle_length && (!best || *local.cycle_length < *best)) {
       best = local.cycle_length;
     }
   }
   for (std::size_t rounds : color_rounds) result.cost.rounds += rounds;
-  result.cost.completed = true;
   result.cycle_length = best;
   return result;
 }

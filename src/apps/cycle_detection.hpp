@@ -3,6 +3,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/apps/net_options.hpp"
 #include "src/net/graph.hpp"
 #include "src/util/rng.hpp"
 #include "src/net/engine.hpp"
@@ -51,7 +52,8 @@ PerSourceCandidates per_source_cycle_candidates(net::Engine& engine,
 /// smallest candidate to the leader. Exact for cycles that avoid heavy
 /// nodes; measured O(k + n^{ceil(k/2) beta}) rounds.
 CycleSearchResult light_cycle_detection(const net::Graph& graph, std::size_t k,
-                                        std::size_t degree_threshold);
+                                        std::size_t degree_threshold,
+                                        const NetOptions& options = {});
 
 /// Lemma 23: find the smallest cycle of length <= k (k >= 3 here; the paper
 /// states k >= 4, triangles work identically in our simulator and Corollary
@@ -60,14 +62,18 @@ CycleSearchResult light_cycle_detection(const net::Graph& graph, std::size_t k,
 /// cycle of length <= k exists; never reports a cycle when none exists.
 /// Measured O(D + (Dn)^{1/2 - 1/(4 ceil(k/2) + 2)}) rounds.
 CycleSearchResult cycle_detection(const net::Graph& graph, std::size_t k,
-                                  util::Rng& rng);
+                                  util::Rng& rng, const NetOptions& options = {});
 
 /// Lemma 25: the diameter-independent version — Lemma 24 clustering
 /// (charged, not measured; see DESIGN.md) + per-color parallel runs of
 /// cycle_detection on cluster neighborhoods. Measured + charged
-/// O~(k + (kn)^{1/2 - 1/(4 ceil(k/2) + 2)}) rounds.
+/// O~(k + (kn)^{1/2 - 1/(4 ceil(k/2) + 2)}) rounds. The per-cluster runs
+/// are on subgraphs with their own node ids, so options that name nodes of
+/// `graph` (crash windows, per-edge fault overrides, a tracked cut) throw
+/// std::invalid_argument.
 CycleSearchResult cycle_detection_clustered(const net::Graph& graph, std::size_t k,
-                                            util::Rng& rng);
+                                            util::Rng& rng,
+                                            const NetOptions& options = {});
 
 /// The paper's rebalanced light/heavy threshold
 /// beta = (1 + log_n(D)) / (1 + 2 ceil(k/2)); exposed for the ablation
@@ -76,6 +82,7 @@ double cycle_beta(std::size_t n, std::size_t diameter, std::size_t k);
 
 /// Lemma 23 with an explicit beta (ablation entry point).
 CycleSearchResult cycle_detection_with_beta(const net::Graph& graph, std::size_t k,
-                                            double beta, util::Rng& rng);
+                                            double beta, util::Rng& rng,
+                                            const NetOptions& options = {});
 
 }  // namespace qcongest::apps

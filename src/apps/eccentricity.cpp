@@ -281,8 +281,9 @@ EccentricityResult radius_classical(const net::Graph& graph,
   return extremum_classical(graph, /*maximum=*/false, options);
 }
 
-AverageEccentricityResult average_eccentricity_classical(const net::Graph& graph) {
-  Setup setup = make_setup(graph, 5);
+AverageEccentricityResult average_eccentricity_classical(const net::Graph& graph,
+                                                         const NetOptions& options) {
+  Setup setup = make_setup(graph, 5, options);
   AverageEccentricityResult result;
   result.cost = setup.cost;
   const std::size_t n = graph.num_nodes();
@@ -309,11 +310,12 @@ AverageEccentricityResult average_eccentricity_classical(const net::Graph& graph
 }
 
 AverageEccentricityResult average_eccentricity_quantum(const net::Graph& graph,
-                                                       double epsilon, util::Rng& rng) {
+                                                       double epsilon, util::Rng& rng,
+                                                       const NetOptions& options) {
   if (epsilon <= 0.0) {
     throw std::invalid_argument("average eccentricity: epsilon <= 0");
   }
-  Setup setup = make_setup(graph, rng.engine()());
+  Setup setup = make_setup(graph, rng.engine()(), options);
   AverageEccentricityResult result;
   result.cost = setup.cost;
 

@@ -64,11 +64,13 @@ struct AverageEccentricityResult {
 /// p = D and sigma <= D, each batch sampling D random nodes' eccentricities
 /// via multi-source BFS + max-convergecast. Success probability >= 2/3.
 AverageEccentricityResult average_eccentricity_quantum(const net::Graph& graph,
-                                                       double epsilon, util::Rng& rng);
+                                                       double epsilon, util::Rng& rng,
+                                                       const NetOptions& options = {});
 
 /// Classical baseline: exact average eccentricity via full APSP
 /// (Theta(n + D) measured rounds) — the comparison point for Lemma 22's
 /// D^{3/2}/eps advantage on low-diameter graphs.
-AverageEccentricityResult average_eccentricity_classical(const net::Graph& graph);
+AverageEccentricityResult average_eccentricity_classical(const net::Graph& graph,
+                                                         const NetOptions& options = {});
 
 }  // namespace qcongest::apps

@@ -46,12 +46,13 @@ std::optional<query::CollisionPair> find_collision_exact(
 
 DistinctnessResult element_distinctness_vector_quantum(
     const net::Graph& graph, const std::vector<std::vector<query::Value>>& data,
-    std::int64_t value_range, util::Rng& rng) {
+    std::int64_t value_range, util::Rng& rng, const NetOptions& options) {
   validate(graph, data, value_range);
   const std::size_t n = graph.num_nodes();
   const std::size_t k = data[0].size();
 
-  net::Engine engine(graph, 1, rng.engine()());
+  net::Engine engine(graph, options.bandwidth, rng.engine()());
+  options.configure(engine);
   DistinctnessResult result;
 
   auto election = net::elect_leader(engine);
@@ -67,6 +68,7 @@ DistinctnessResult element_distinctness_vector_quantum(
       1, util::ceil_log2(static_cast<std::uint64_t>(value_range) * n + 1));
   config.combine = [](std::int64_t a, std::int64_t b) { return a + b; };
   config.identity = 0;
+  config.profiler = options.metrics;
   framework::DistributedOracle oracle(engine, tree, config, data);
 
   result.collision = query::element_distinctness(oracle, rng);
@@ -77,11 +79,12 @@ DistinctnessResult element_distinctness_vector_quantum(
 
 DistinctnessResult element_distinctness_vector_classical(
     const net::Graph& graph, const std::vector<std::vector<query::Value>>& data,
-    std::int64_t value_range) {
+    std::int64_t value_range, const NetOptions& options) {
   validate(graph, data, value_range);
   const std::size_t n = graph.num_nodes();
 
-  net::Engine engine(graph);
+  net::Engine engine(graph, options.bandwidth, options.seed);
+  options.configure(engine);
   DistinctnessResult result;
 
   auto election = net::elect_leader(engine);
@@ -127,18 +130,20 @@ std::vector<std::vector<query::Value>> nodes_to_vector_instance(
 
 DistinctnessResult element_distinctness_nodes_quantum(
     const net::Graph& graph, const std::vector<query::Value>& values,
-    std::int64_t value_range, util::Rng& rng) {
+    std::int64_t value_range, util::Rng& rng, const NetOptions& options) {
   auto data = nodes_to_vector_instance(graph, values);
-  auto result = element_distinctness_vector_quantum(graph, data, value_range + 1, rng);
+  auto result =
+      element_distinctness_vector_quantum(graph, data, value_range + 1, rng, options);
   if (result.collision) result.collision->value -= 1;  // undo the shift
   return result;
 }
 
 DistinctnessResult element_distinctness_nodes_classical(
     const net::Graph& graph, const std::vector<query::Value>& values,
-    std::int64_t value_range) {
+    std::int64_t value_range, const NetOptions& options) {
   auto data = nodes_to_vector_instance(graph, values);
-  auto result = element_distinctness_vector_classical(graph, data, value_range + 1);
+  auto result =
+      element_distinctness_vector_classical(graph, data, value_range + 1, options);
   if (result.collision) result.collision->value -= 1;
   return result;
 }

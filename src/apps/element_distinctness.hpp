@@ -3,6 +3,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/apps/net_options.hpp"
 #include "src/net/engine.hpp"
 #include "src/net/graph.hpp"
 #include "src/query/element_distinctness.hpp"
@@ -24,13 +25,13 @@ struct DistinctnessResult {
 /// measured rounds, success >= 2/3 (one-sided: never a false collision).
 DistinctnessResult element_distinctness_vector_quantum(
     const net::Graph& graph, const std::vector<std::vector<query::Value>>& data,
-    std::int64_t value_range, util::Rng& rng);
+    std::int64_t value_range, util::Rng& rng, const NetOptions& options = {});
 
 /// Classical baseline: gather the aggregated vector at the leader
 /// (Theta(D + k ceil(log N / log n)) measured rounds), answer exactly.
 DistinctnessResult element_distinctness_vector_classical(
     const net::Graph& graph, const std::vector<std::vector<query::Value>>& data,
-    std::int64_t value_range);
+    std::int64_t value_range, const NetOptions& options = {});
 
 /// Corollary 14: element distinctness between nodes — node v holds a single
 /// value in [N]; decide whether any two nodes hold the same value. Reduces
@@ -39,11 +40,12 @@ DistinctnessResult element_distinctness_vector_classical(
 DistinctnessResult element_distinctness_nodes_quantum(const net::Graph& graph,
                                                       const std::vector<query::Value>& values,
                                                       std::int64_t value_range,
-                                                      util::Rng& rng);
+                                                      util::Rng& rng,
+                                                      const NetOptions& options = {});
 
 /// Classical baseline for the between-nodes variant: gather everything.
 DistinctnessResult element_distinctness_nodes_classical(
     const net::Graph& graph, const std::vector<query::Value>& values,
-    std::int64_t value_range);
+    std::int64_t value_range, const NetOptions& options = {});
 
 }  // namespace qcongest::apps

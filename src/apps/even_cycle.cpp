@@ -119,7 +119,8 @@ std::size_t exact_cycle_default_repetitions(std::size_t length) {
 }
 
 ExactCycleResult exact_cycle_detection(const net::Graph& graph, std::size_t length,
-                                       util::Rng& rng, std::size_t repetitions) {
+                                       util::Rng& rng, std::size_t repetitions,
+                                       const NetOptions& options) {
   if (length < 3) throw std::invalid_argument("exact_cycle_detection: length < 3");
   if (length > 6) {
     throw std::invalid_argument(
@@ -130,7 +131,8 @@ ExactCycleResult exact_cycle_detection(const net::Graph& graph, std::size_t leng
 
   ExactCycleResult result;
   result.repetitions = repetitions;
-  net::Engine engine(graph, 1, rng.engine()());
+  net::Engine engine(graph, options.bandwidth, rng.engine()());
+  options.configure(engine);
 
   bool found = false;
   for (std::size_t rep = 0; rep < repetitions && !found; ++rep) {

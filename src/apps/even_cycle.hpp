@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "src/apps/net_options.hpp"
 #include "src/net/engine.hpp"
 #include "src/net/graph.hpp"
 #include "src/util/rng.hpp"
@@ -27,7 +28,8 @@ struct ExactCycleResult {
 ///
 /// Practical for L <= 6 (the repetition count grows as L^L / 2L).
 ExactCycleResult exact_cycle_detection(const net::Graph& graph, std::size_t length,
-                                       util::Rng& rng, std::size_t repetitions = 0);
+                                       util::Rng& rng, std::size_t repetitions = 0,
+                                       const NetOptions& options = {});
 
 /// The auto repetition count used when `repetitions` is 0.
 std::size_t exact_cycle_default_repetitions(std::size_t length);

@@ -8,7 +8,8 @@
 
 namespace qcongest::apps {
 
-GirthResult girth_quantum(const net::Graph& graph, double mu, util::Rng& rng) {
+GirthResult girth_quantum(const net::Graph& graph, double mu, util::Rng& rng,
+                          const NetOptions& options) {
   if (mu <= 0.0 || mu > 1.0) throw std::invalid_argument("girth: mu must be in (0, 1]");
   GirthResult result;
 
@@ -19,7 +20,7 @@ GirthResult girth_quantum(const net::Graph& graph, double mu, util::Rng& rng) {
   while (true) {
     auto k = static_cast<std::size_t>(std::floor(k_target));
     ++result.iterations;
-    CycleSearchResult step = cycle_detection_clustered(graph, std::min(k, k_max), rng);
+    CycleSearchResult step = cycle_detection_clustered(graph, std::min(k, k_max), rng, options);
     result.cost += step.cost;
     result.charged_rounds += step.charged_rounds;
     if (step.cycle_length) {
@@ -52,9 +53,10 @@ GirthResult girth_quantum_boosted(const net::Graph& graph, double mu, double del
   return combined;
 }
 
-GirthResult girth_classical(const net::Graph& graph) {
+GirthResult girth_classical(const net::Graph& graph, const NetOptions& options) {
   GirthResult result;
-  net::Engine engine(graph, 1, 11);
+  net::Engine engine(graph, options.bandwidth, 11);
+  options.configure(engine);
   const std::size_t n = graph.num_nodes();
 
   // All nodes BFS to full depth simultaneously; min candidate convergecast.

@@ -22,12 +22,17 @@ struct GirthResult {
 /// Substitution note (DESIGN.md): the paper opens with the O~(n^{1/5})
 /// quantum triangle finding of [CFGLO22]; we run our own cycle machinery at
 /// k = 3 instead, which preserves correctness and the g >= 4 asymptotics.
-GirthResult girth_quantum(const net::Graph& graph, double mu, util::Rng& rng);
+///
+/// The steps run on cluster subgraphs, so `options` naming nodes (crash
+/// windows among them) throw std::invalid_argument; see
+/// cycle_detection_clustered.
+GirthResult girth_quantum(const net::Graph& graph, double mu, util::Rng& rng,
+                          const NetOptions& options = {});
 
 /// Classical baseline: every node BFSes to depth n (the [PRT12]-style exact
 /// girth computation), Theta(n) measured rounds even on constant-girth
 /// graphs — the [FHW12] lower-bound regime the quantum algorithm beats.
-GirthResult girth_classical(const net::Graph& graph);
+GirthResult girth_classical(const net::Graph& graph, const NetOptions& options = {});
 
 /// Girth boosted to success >= 1 - delta: one-sided error means a found
 /// girth is never below the truth, so the minimum over O(log 1/delta)

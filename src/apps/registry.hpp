@@ -30,12 +30,23 @@ using AppRunner = std::function<AppOutcome(const net::Graph&, const NetOptions&)
 
 struct RegisteredApp {
   const char* name;
+  /// Where the app comes from: the paper's Lemma/Corollary/Theorem for the
+  /// quantum algorithms, the result a classical baseline or network
+  /// primitive stands beside otherwise.
+  const char* paper;
   AppRunner run;
 };
 
-/// The named application suite shared by chaos_run and the qcongestd
-/// service: leader, bfs, downcast, convergecast, multibfs, diameter,
-/// radius, dj, meeting. Order is fixed (it is the sweep's display order).
+/// The named application suite shared by every front end (qcongest_cli,
+/// chaos_run, the qcongestd service, the result cache): the network
+/// primitives leader, bfs, downcast, convergecast and multibfs; the
+/// classical baselines diameter, radius, dj, meeting, distinctness, avgecc
+/// and girth; and the paper's Theorem 8 applications meeting_q (Lemma 10),
+/// edvec_q (Lemma 12), distinctness_q (Cor 14), dj_q (Thm 17), diameter_q
+/// and radius_q (Lemma 21), avgecc_q (Lemma 22), cycle_q (Lemma 23),
+/// exactcycle (Section 5.2 remark) and girth_q (Cor 26). Each app fixes its
+/// input instance from n, seeds its util::Rng from options.seed, and grades
+/// its answer against an exact reference. Order is fixed.
 const std::vector<RegisteredApp>& app_registry();
 
 /// Look up a runner by name; nullptr when unknown.
@@ -44,10 +55,13 @@ const AppRunner* find_app(std::string_view name);
 /// The registered app names, in registry order.
 std::vector<std::string> app_names();
 
-/// Topology factory by family name: tree | path | cycle | grid | random |
-/// star | complete. `seed` only matters for the random family. Throws
-/// std::invalid_argument on an unknown family or a size the family cannot
-/// realize. grid builds the largest side*side grid with side*side <= nodes.
+/// The one topology factory, by family name: tree | path | cycle | grid |
+/// random | star | complete | petersen | two-stars | lollipop | cycle-trees.
+/// `seed` only matters for random and cycle-trees. grid builds the largest
+/// side*side grid with side*side <= nodes; every other family builds
+/// exactly `nodes` nodes or throws std::invalid_argument (petersen needs 10,
+/// two-stars 5+, lollipop 4+, cycle-trees 6+), as it does for an unknown
+/// family or fewer than 2 nodes.
 net::Graph make_registry_graph(std::string_view family, std::size_t nodes,
                                std::uint64_t seed);
 

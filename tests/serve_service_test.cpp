@@ -375,6 +375,32 @@ TEST(ServeService, ReadThroughCacheServesIdenticalJobsByteIdentically) {
   fs::remove_all(cache_dir);
 }
 
+TEST(ServeService, QuantumAppResubmissionIsACacheHit) {
+  // A Theorem 8 app (Lemma 21) through the service: faulty reliable links,
+  // and the resubmission is served from the cache with identical bytes.
+  namespace fs = std::filesystem;
+  const fs::path cache_dir = fs::path(::testing::TempDir()) / "serve_quantum_cache";
+  fs::remove_all(cache_dir);
+
+  ServiceConfig config;
+  config.workers = 2;
+  config.cache_dir = cache_dir.string();
+  Service service(config);
+
+  const std::string spec =
+      "app=diameter_q\ngraph=random\nnodes=20\nseed=3\ntransport=reliable\n"
+      "drop=0.05\n";
+  JobReply cold = wait_submit(service, "id=q1\n" + spec);
+  ASSERT_EQ(cold.status, JobReply::Status::kOk);
+  EXPECT_NE(cold.body.find("\"success\": true"), std::string::npos) << cold.body;
+  JobReply warm = wait_submit(service, "id=q2\n" + spec);
+  ASSERT_EQ(warm.status, JobReply::Status::kOk);
+  EXPECT_EQ(cold.body, warm.body);
+  EXPECT_EQ(service.stats().cache_misses, 1u);
+  EXPECT_EQ(service.stats().cache_hits, 1u);
+  fs::remove_all(cache_dir);
+}
+
 TEST(ServeService, CorruptCacheEntryIsRecomputedNotServed) {
   namespace fs = std::filesystem;
   const fs::path cache_dir =

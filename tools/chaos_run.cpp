@@ -10,8 +10,9 @@
 //             [--cache] [--no-cache] [--cache-dir PATH]
 //   chaos_run gc [--cache-dir PATH] [--max-bytes N]
 //
-// families: tree | path | cycle | grid | random | star | complete
-// (the shared suite and topology factory live in src/apps/registry)
+// Apps and families come from src/apps/registry, the suite and topology
+// factory shared with qcongest_cli and qcongestd; chaos_run runs the fixed
+// name lists kSweepApps and kRecoveryApps from it.
 //
 // The sweep is an experiment DAG (src/cache/dag): one node per (app, fault
 // level), where every faulty level depends on its app's clean run (the
@@ -61,8 +62,8 @@
 // carries only seed-deterministic fields — it is byte-identical for any
 // --threads value, which CI exploits by diffing the two.
 //
-// --amnesia replaces the sweep with the recovery lane: every app (plus the
-// framework apps dj and meeting) runs over the reliable transport with one
+// --amnesia replaces the sweep with the recovery lane: every sweep app (plus
+// the framework apps dj and meeting) runs over the reliable transport with one
 // crash-with-amnesia window scheduled on a middle node, a liveness watchdog
 // attached. With --recover the engine checkpoints node state and the wiped
 // node rebuilds itself from its last checkpoint plus neighbor-assisted
@@ -161,6 +162,32 @@ net::Graph make_graph(const Options& opt) {
   }
 }
 
+// The sweep suite (the historic set its fault levels were calibrated on)
+// and the recovery lane's suite, which adds the multi-phase framework apps
+// dj and meeting: the richest recovery surface the registry has. Fixed
+// lists, so a new registry entry never changes either lane's output.
+constexpr const char* kSweepApps[] = {"leader",       "bfs",      "downcast",
+                                      "convergecast", "multibfs", "diameter",
+                                      "radius"};
+constexpr const char* kRecoveryApps[] = {"leader",       "bfs",      "downcast",
+                                         "convergecast", "multibfs", "diameter",
+                                         "radius",       "dj",       "meeting"};
+
+template <std::size_t N>
+std::vector<AppEntry> suite_of(const char* const (&names)[N]) {
+  std::vector<AppEntry> suite;
+  for (const char* name : names) suite.push_back({name, "", *apps::find_app(name)});
+  return suite;
+}
+
+/// `label` followed by the space-separated names, for the usage text.
+template <typename Names>
+std::string listed(const char* label, const Names& names) {
+  std::string line = label;
+  for (const auto& name : names) (line += ' ') += name;
+  return line;
+}
+
 void usage() {
   std::puts(
       "usage: chaos_run [--nodes N] [--trials T] [--graph FAMILY]\n"
@@ -169,8 +196,10 @@ void usage() {
       "                 [--verify] [--audit-determinism] [--report PATH]\n"
       "                 [--amnesia] [--recover]\n"
       "                 [--cache] [--no-cache] [--cache-dir PATH]\n"
-      "       chaos_run gc [--cache-dir PATH] [--max-bytes N]\n"
-      "families: tree path cycle grid random star complete");
+      "       chaos_run gc [--cache-dir PATH] [--max-bytes N]");
+  std::printf("%s\n%s\n%s\n", listed("sweep apps:", kSweepApps).c_str(),
+              listed("--amnesia apps:", kRecoveryApps).c_str(),
+              listed("families:", apps::graph_families()).c_str());
 }
 
 /// One swept fault level: word-drop probability `rate` with proportional
@@ -184,9 +213,13 @@ net::FaultPlan level_plan(double rate, std::uint64_t fault_seed) {
   return plan;
 }
 
-bool parse(int argc, char** argv, Options& opt) {
+bool parse(int argc, char** argv, Options& opt, bool* help) {
   for (int i = 1; i < argc; ++i) {
     std::string flag = argv[i];
+    if (flag == "--help" || flag == "-h") {
+      *help = true;
+      return false;
+    }
     if (flag == "--verify") {
       opt.verify = true;
       continue;
@@ -816,20 +849,14 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "gc") == 0) return run_gc(argc, argv);
 
   Options opt;
-  if (!parse(argc, argv, opt)) {
+  bool help = false;
+  if (!parse(argc, argv, opt, &help)) {
     usage();
-    return 2;
+    return help ? 0 : 2;
   }
 
   const net::Graph graph = make_graph(opt);
-  // The sweep suite is the registry minus the framework apps dj and
-  // meeting, which join only the recovery lane below (historic sweep set —
-  // the sweep's fault levels were calibrated against these seven).
-  std::vector<AppEntry> suite;
-  for (const AppEntry& app : apps::app_registry()) {
-    std::string_view name = app.name;
-    if (name != "dj" && name != "meeting") suite.push_back(app);
-  }
+  const std::vector<AppEntry> suite = suite_of(kSweepApps);
 
   // The result cache (src/cache): shared by the sweep DAG and the report
   // pass. The determinism audit never touches it — its whole point is to
@@ -841,12 +868,10 @@ int main(int argc, char** argv) {
   if (opt.audit_determinism) return run_determinism_audit(graph, opt, suite);
 
   if (opt.amnesia) {
-    // The recovery lane runs the full registry: dj and meeting are
-    // multi-phase (election + tree build + pipelined aggregation), the
-    // richest recovery surface the suite has. The lane itself always
-    // executes (its verdicts are about live behaviour under a watchdog);
-    // only the report sections read through the cache.
-    const std::vector<AppEntry>& recovery_suite = apps::app_registry();
+    // The lane itself always executes (its verdicts are about live
+    // behaviour under a watchdog); only the report sections read through
+    // the cache.
+    const std::vector<AppEntry> recovery_suite = suite_of(kRecoveryApps);
     int exit_code = run_recovery_lane(graph, opt, recovery_suite);
     if (!opt.report.empty()) {
       int report_code = write_run_report(graph, opt, recovery_suite, store.get());
